@@ -107,14 +107,17 @@ bench-smoke-fleet:
 	@echo "fleet smoke: sequential and parallel outputs are byte-identical"
 
 # Frontier smoke (part of `check`): the overhead-vs-security frontier
-# on the tiny kernel, sequential vs parallel, byte-diffed — pins both
-# the defense ledger and the jobs-invariance of the new CFI/PAC paths.
+# and tables 5-7 on the tiny kernel, sequential vs parallel, byte-diffed
+# — pins the defense ledger, the jobs-invariance of the CFI/PAC paths,
+# and the pass manager's optimization-prefix reuse: the tables' defense
+# sets share each prefix, so parallel cells race to insert the same
+# entry.
 bench-smoke-frontier:
 	dune build bench/main.exe
 	mkdir -p $(SCRATCH)
-	dune exec bench/main.exe -- --quick --frontier --jobs 2 \
+	dune exec bench/main.exe -- --quick --frontier --table 5 --table 6 --table 7 --jobs 2 \
 	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/frontier_smoke_j2.txt
-	dune exec bench/main.exe -- --quick --frontier --jobs 1 \
+	dune exec bench/main.exe -- --quick --frontier --table 5 --table 6 --table 7 --jobs 1 \
 	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/frontier_smoke_j1.txt
 	cmp $(SCRATCH)/frontier_smoke_j1.txt $(SCRATCH)/frontier_smoke_j2.txt
 	@echo "frontier smoke: sequential and parallel outputs are byte-identical"

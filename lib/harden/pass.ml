@@ -93,12 +93,13 @@ let lower_jump_tables f =
 (* Jump tables: disabled program-wide when any transient defense is on,
    except inside opaque assembly bodies.  Also exposed as a standalone
    pass-manager pass ([no-jump-tables]); the re-lowering is idempotent, so
-   running it before [harden] yields the same image. *)
+   running it before [harden] yields the same image.  Only functions that
+   hold a jump table are rebuilt; every other record stays shared, and a
+   program without jump tables comes back unchanged. *)
 let disable_jump_tables prog =
-  let p = ref prog in
-  Program.iter_funcs prog (fun f ->
-      if not f.attrs.is_asm then p := Program.update_func !p (lower_jump_tables f));
-  !p
+  Program.fold_funcs prog ~init:prog ~f:(fun p f ->
+      if f.attrs.is_asm || Func.jump_table_count f = 0 then p
+      else Program.update_func p (lower_jump_tables f))
 
 let harden ?(rsb_refill = false) prog defenses =
   let fkind = forward_kind defenses in

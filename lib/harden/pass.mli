@@ -69,7 +69,8 @@ val disable_jump_tables : Program.t -> Program.t
     ladder (LLVM's behaviour once retpolines/LVI are enabled).  [harden]
     applies this automatically when any defense is on; it is also
     registered as the standalone [no-jump-tables] pipeline pass.
-    Idempotent. *)
+    Idempotent.  Functions without a jump table keep their records, and a
+    program without one is returned physically unchanged. *)
 
 val harden : ?rsb_refill:bool -> Program.t -> defenses -> image
 (** [rsb_refill] (default false) additionally stuffs the RSB at every

@@ -53,12 +53,13 @@ let spec t = t.spec
 (* Functions whose body changed between the deployed image and the fresh
    one (plus additions and removals): each is one live-patch site the
    runtime must stop-machine over.  The IR is pure data, so structural
-   equality is exact. *)
+   equality is exact; rebuilds share untouched function records, and [=]
+   does not stop at physically equal values, so [==] is tested first. *)
 let changed_funcs old_prog new_prog =
   let changed =
     Program.fold_funcs new_prog ~init:0 ~f:(fun acc (f : Pibe_ir.Types.func) ->
         match Program.find_opt old_prog f.Pibe_ir.Types.fname with
-        | Some g when g = f -> acc
+        | Some g when g == f || g = f -> acc
         | Some _ | None -> acc + 1)
   in
   Program.fold_funcs old_prog ~init:changed ~f:(fun acc (f : Pibe_ir.Types.func) ->

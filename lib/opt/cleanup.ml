@@ -29,12 +29,13 @@ type binding =
 (* All rewrites below preserve physical identity when nothing changes:
    an untouched instruction comes back [==] to the input, an untouched
    block comes back as the same record, and a converged [run_once]
-   returns the function it was given.  That makes the fixpoint check in
-   [run_func_with_stats] (and the structural compares inside it) hit the
-   O(1) pointer-equality shortcut instead of retraversing the whole IR,
-   and it stops every pass from reallocating an identical copy of every
-   function it merely inspects.  The produced values are structurally
-   identical either way, so pass output and stats do not change. *)
+   returns the function it was given.  That lets the fixpoint check in
+   [run_func_with_stats] test [==] first and skip the structural compare,
+   which (unlike [compare]) does not stop at physically equal values and
+   would walk the whole converged function; and it stops every pass from
+   reallocating an identical copy of every function it merely inspects.
+   The produced values are structurally identical either way, so pass
+   output and stats do not change. *)
 
 let rec map_shared f = function
   | [] -> []
@@ -386,7 +387,7 @@ let run_func_with_stats f =
     else
       let f', s = run_once f in
       let acc = add_stats acc s in
-      if f' = f then (f', acc) else go f' acc (iters - 1)
+      if f' == f || f' = f then (f', acc) else go f' acc (iters - 1)
   in
   go f zero_stats 8
 

@@ -14,18 +14,22 @@ type snapshot = {
 }
 
 let snapshot prog =
-  let blocks = ref 0 and insts = ref 0 and jts = ref 0 in
+  let blocks = ref 0 and insts = ref 0 and bytes = ref 0 in
+  let icalls = ref 0 and rets = ref 0 and jts = ref 0 in
   Program.iter_funcs prog (fun f ->
       blocks := !blocks + Array.length f.Types.blocks;
       insts := !insts + Func.inst_count f;
+      bytes := !bytes + Layout.func_size f;
+      icalls := !icalls + List.length (Func.icall_sites f);
+      rets := !rets + Func.ret_count f;
       jts := !jts + Func.jump_table_count f);
   {
     funcs = Program.func_count prog;
     blocks = !blocks;
     insts = !insts;
-    code_bytes = Layout.total_code_bytes (Layout.build prog);
-    icalls = Program.total_icall_sites prog;
-    rets = Program.total_ret_sites prog;
+    code_bytes = !bytes;
+    icalls = !icalls;
+    rets = !rets;
     jump_tables = !jts;
   }
 
@@ -96,14 +100,148 @@ let trace_pass_deltas ~before:(b : snapshot) ~after:(a : snapshot) detail =
     | args -> Trace.counter ~cat:"pm" "pass-detail" args
   end
 
+(* --------------------------- prefix reuse --------------------------- *)
+
+(* The state a run reaches after its leading IR-transforming passes,
+   keyed on what determines it: the input program (physical identity:
+   programs are persistent values), the input profile (identity plus its
+   mutation counter), the canonical spec text of those passes, and
+   [verify].  [pstate]'s profile and provenance belong to the entry; a
+   hit hands the caller copies, so nothing a caller mutates leaks into a
+   later build. *)
+type prefix = {
+  pprog : Program.t;
+  pprofile : Profile.t;
+  pversion : int;
+  pspec : string;
+  pverify : bool;
+  pstate : Pass.state;
+  pstats : pass_stats list;
+  plast : snapshot;  (* after the prefix's last pass *)
+}
+
+(* A small LRU, MRU first, guarded like the engine's compile cache: a
+   miss computes outside the lock and a racing domain's finished entry
+   is adopted over our own.  Eight entries hold the four optimization
+   levels a paper table sweeps with room to spare. *)
+let prefix_capacity = 8
+let prefix_lock = Mutex.create ()
+let prefixes : prefix list ref = ref []
+
+let take_prefix ~prog ~profile ~version ~spec ~verify entries =
+  let rec go acc = function
+    | [] -> None
+    | e :: rest
+      when e.pprog == prog && e.pprofile == profile && e.pversion = version
+           && e.pverify = verify && String.equal e.pspec spec ->
+      Some (e, List.rev_append acc rest)
+    | e :: rest -> go (e :: acc) rest
+  in
+  go [] entries
+
+(* Whether a prefix was reused depends on what ran earlier in the
+   process (and, in parallel runs, on scheduling), so the traffic goes to
+   the "sched" category that [Trace.canonical] strips. *)
+let note_prefix ~hit =
+  if Trace.enabled () then
+    Trace.counter ~cat:"sched"
+      (if hit then "prefix-cache-hit" else "prefix-cache-miss")
+      [ ("count", Trace.Int 1) ]
+
+let private_copy (st : Pass.state) =
+  {
+    st with
+    Pass.profile = Profile.copy st.Pass.profile;
+    provenance = Pibe_profile.Provenance.copy st.Pass.provenance;
+  }
+
+(* [compute ()] runs the prefix cold.  A hit replays each reused pass's
+   span and counters, so the trace reads as it would after a cold run. *)
+let reuse_prefix ~verify prog profile prefix ~compute =
+  let spec = Spec.to_string (List.map (fun (p : Pass.t) -> p.spec) prefix) in
+  let version = Profile.version profile in
+  let find () = take_prefix ~prog ~profile ~version ~spec ~verify !prefixes in
+  Mutex.lock prefix_lock;
+  match find () with
+  | Some (e, others) ->
+    prefixes := e :: others;
+    Mutex.unlock prefix_lock;
+    note_prefix ~hit:true;
+    if Trace.enabled () then
+      List.iter
+        (fun s ->
+          Trace.span ~cat:"pm" ("pass:" ^ s.pass) (fun () ->
+              trace_pass_deltas ~before:s.before ~after:s.after s.detail))
+        e.pstats;
+    (private_copy e.pstate, e.plast, e.pstats)
+  | None ->
+    Mutex.unlock prefix_lock;
+    note_prefix ~hit:false;
+    let ((st, last, stats) as computed) = compute () in
+    let fresh =
+      {
+        pprog = prog;
+        pprofile = profile;
+        pversion = version;
+        pspec = spec;
+        pverify = verify;
+        pstate = private_copy st;
+        pstats = stats;
+        plast = last;
+      }
+    in
+    Mutex.lock prefix_lock;
+    let e, others =
+      match find () with
+      | Some (e, others) -> (e, others)  (* another domain won the race *)
+      | None -> (fresh, !prefixes)
+    in
+    prefixes := List.filteri (fun i _ -> i < prefix_capacity) (e :: others);
+    Mutex.unlock prefix_lock;
+    computed
+
+(* The leading run of passes that are not hardening requests. *)
+let split_prefix passes =
+  let rec go acc = function
+    | (p : Pass.t) :: rest when not p.request -> go (p :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] passes
+
 let run ?(verify = false) ?check prog profile passes =
   let t_start = Unix.gettimeofday () in
   let inspect prog =
     if verify then Validate.check_exn prog;
     Option.iter (fun f -> f prog) check
   in
-  let state =
-    ref
+  (* Runs [passes] from [state], whose program [before] describes; returns
+     the final state, the last snapshot and one stats row per pass. *)
+  let run_passes state before passes =
+    let state = ref state and before = ref before in
+    let stats =
+      List.map
+        (fun (p : Pass.t) ->
+          Trace.span ~cat:"pm" ("pass:" ^ Spec.elem_to_string p.spec) (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let st, detail = p.run !state in
+              let wall_s = Unix.gettimeofday () -. t0 in
+              inspect st.Pass.prog;
+              let after =
+                if st.Pass.prog == !state.Pass.prog then !before else snapshot st.Pass.prog
+              in
+              state := st;
+              trace_pass_deltas ~before:!before ~after detail;
+              let s =
+                { pass = Spec.elem_to_string p.spec; wall_s; before = !before; after; detail }
+              in
+              before := after;
+              s))
+        passes
+    in
+    (!state, !before, stats)
+  in
+  let cold passes =
+    run_passes
       {
         Pass.prog;
         profile = Profile.copy profile;
@@ -111,6 +249,7 @@ let run ?(verify = false) ?check prog profile passes =
         rsb_refill = false;
         provenance = Pibe_profile.Provenance.create ();
       }
+      (snapshot prog) passes
   in
   let run_args =
     if Trace.enabled () then
@@ -118,26 +257,16 @@ let run ?(verify = false) ?check prog profile passes =
     else []
   in
   Trace.span ~cat:"pm" "pm:run" ~args:run_args (fun () ->
-      let before = ref (snapshot prog) in
-      let stats =
-        List.map
-          (fun (p : Pass.t) ->
-            Trace.span ~cat:"pm" ("pass:" ^ Spec.elem_to_string p.spec) (fun () ->
-                let t0 = Unix.gettimeofday () in
-                let st, detail = p.run !state in
-                let wall_s = Unix.gettimeofday () -. t0 in
-                state := st;
-                inspect st.Pass.prog;
-                let after = snapshot st.Pass.prog in
-                trace_pass_deltas ~before:!before ~after detail;
-                let s =
-                  { pass = Spec.elem_to_string p.spec; wall_s; before = !before; after; detail }
-                in
-                before := after;
-                s))
-          passes
+      let st, last, stats =
+        match (check, split_prefix passes) with
+        | Some _, _ | None, ([], _) -> cold passes
+        | None, (prefix, rest) ->
+          let st, last, reused =
+            reuse_prefix ~verify prog profile prefix ~compute:(fun () -> cold prefix)
+          in
+          let st, last, stats = run_passes st last rest in
+          (st, last, reused @ stats)
       in
-      let st = !state in
       let image =
         Trace.span ~cat:"pm" "pm:harden" (fun () ->
             let image =
@@ -147,8 +276,8 @@ let run ?(verify = false) ?check prog profile passes =
             if Trace.enabled () then
               Trace.counter ~cat:"pm" "hardened"
                 [
-                  ("icall_sites", Trace.Int (Program.total_icall_sites st.Pass.prog));
-                  ("ret_sites", Trace.Int (Program.total_ret_sites st.Pass.prog));
+                  ("icall_sites", Trace.Int last.icalls);
+                  ("ret_sites", Trace.Int last.rets);
                   ("image_bytes", Trace.Int (Pibe_harden.Pass.image_bytes image));
                 ];
             image)

@@ -16,7 +16,10 @@
     indirect/return/jump-table sites), per-pass [pass-detail] counters
     (sites promoted / inlined / folded), and a final [hardened] counter
     (sites protected, image bytes).  All values are deterministic; with
-    collection off the instrumentation is a no-op. *)
+    collection off the instrumentation is a no-op.
+
+    Builds that share an optimization prefix share its work: see {!run}
+    for the reuse contract. *)
 
 open Pibe_ir
 
@@ -31,6 +34,9 @@ type snapshot = {
 }
 
 val snapshot : Program.t -> snapshot
+(** One traversal of the program; [code_bytes] equals
+    [Layout.total_code_bytes (Layout.build p)] without building the
+    layout. *)
 
 type pass_stats = {
   pass : string;  (** canonical spec element, e.g. ["icp(budget=99.999)"] *)
@@ -61,7 +67,39 @@ val run :
   result
 (** The input profile is copied, never mutated.  [verify] defaults to
     false: release pipeline runs skip validation; tests and [--verify]
-    CLI runs turn it on. *)
+    CLI runs turn it on.
+
+    {b Optimization-prefix reuse.}  The optimizing passes only elide
+    indirect branches and the hardening requests only set flags, so one
+    optimized program serves every defense set (paper §4–6).  [run]
+    therefore remembers the state it reaches after the {e prefix} — the
+    leading run of passes whose {!Pass.t} [request] tag is off — and a
+    later run with the same prefix re-applies only its requests and the
+    final hardening.  The contract:
+
+    - {e Key}: the input program by physical identity, the input profile
+      by physical identity plus {!Pibe_profile.Profile.version}, the
+      canonical spec text of the prefix, and [verify].  Mutating the
+      profile between two runs is therefore a miss.
+    - {e Prefix}: a pass list that starts with a request has none and
+      is never reused.
+    - {e Ownership}: the remembered state keeps private copies of its
+      profile and provenance; a reused run hands back fresh copies, so
+      mutating a returned [profile] or [provenance] never reaches a later
+      run.
+    - {e Stats}: reused passes report the {!pass_stats} recorded when
+      the prefix ran, wall time included; [wall_s] of the result is this
+      run's own.  A reused run does no whole-program work on the input.
+    - {e Trace}: a reused run emits each reused pass's [pass:<elem>]
+      span with its [ir-delta] and [pass-detail] counters, so
+      {!Pibe_trace.Trace.canonical} is the same either way; reuse traffic
+      shows only as ["sched"]-category [prefix-cache-hit] /
+      [prefix-cache-miss] counters.
+    - {e Bound}: a process-wide LRU of 8 prefixes under a mutex; a miss
+      computes outside the lock, and a racing domain's entry is adopted
+      over its own.
+    - A run given [?check] neither reuses nor records a prefix: the hook
+      sees every pass. *)
 
 val table : ?title:string -> pass_stats list -> Pibe_util.Tbl.t
 (** Per-pass stats rendered as an aligned table: wall-clock milliseconds,

@@ -19,5 +19,6 @@ type detail =
 type t = {
   name : string;
   spec : Spec.elem;
+  request : bool;
   run : state -> state * detail;
 }

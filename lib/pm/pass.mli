@@ -5,7 +5,13 @@
     request — and reports a typed {!detail} with its pass-specific
     statistics.  The manager (see {!Manager}) wraps every [run] with
     wall-clock timing, IR delta accounting and optional verification, so
-    passes themselves stay plain program transformations. *)
+    passes themselves stay plain program transformations.
+
+    A pass is a pure function of its spec element and its input state:
+    two instances with the same canonical spec text, run on equal states,
+    produce equal states and details.  The manager relies on this to
+    reuse a build's optimization prefix across builds (see
+    {!Manager.run}). *)
 
 open Pibe_ir
 
@@ -38,5 +44,11 @@ type t = {
   spec : Spec.elem;
       (** the canonical spec element this instance prints back to
           (round-trips through {!Spec.of_string}) *)
+  request : bool;
+      (** a hardening request: the pass only sets [defenses] or
+          [rsb_refill] and leaves the program, profile and provenance
+          alone.  The registry tags every defense pass and [rsb-refill];
+          the leading run of untagged passes is the prefix the manager
+          may reuse *)
   run : state -> state * detail;
 }

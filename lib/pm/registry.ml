@@ -54,7 +54,7 @@ let int_arg ~pass args key ~default =
 
 (* --------------------------- constructors --------------------------- *)
 
-let make (e : Spec.elem) run = { Pass.name = e.pass; spec = e; run }
+let make ?(request = false) (e : Spec.elem) run = { Pass.name = e.pass; spec = e; request; run }
 
 let icp (e : Spec.elem) =
   let pass = e.pass in
@@ -117,7 +117,9 @@ let cleanup (e : Spec.elem) =
 
 let defense (e : Spec.elem) set =
   let* () = check_keys ~pass:e.pass ~allowed:[] e.args in
-  Ok (make e (fun (st : Pass.state) -> ({ st with defenses = set st.defenses }, Pass.Defense)))
+  Ok
+    (make ~request:true e (fun (st : Pass.state) ->
+         ({ st with defenses = set st.defenses }, Pass.Defense)))
 
 let no_jump_tables (e : Spec.elem) =
   let* () = check_keys ~pass:e.pass ~allowed:[] e.args in
@@ -127,7 +129,7 @@ let no_jump_tables (e : Spec.elem) =
 
 let rsb_refill (e : Spec.elem) =
   let* () = check_keys ~pass:e.pass ~allowed:[] e.args in
-  Ok (make e (fun (st : Pass.state) -> ({ st with rsb_refill = true }, Pass.Defense)))
+  Ok (make ~request:true e (fun (st : Pass.state) -> ({ st with rsb_refill = true }, Pass.Defense)))
 
 (* ----------------------------- registry ----------------------------- *)
 

@@ -16,7 +16,11 @@
       retpoline + LVI (lowered to the combined fenced sequence).
     - [no-jump-tables] — re-lower jump tables as branch ladders now
       (implied by any defense at hardening time; idempotent).
-    - [rsb-refill] — stuff the RSB at every kernel entry (§6.4). *)
+    - [rsb-refill] — stuff the RSB at every kernel entry (§6.4).
+
+    The defense passes and [rsb-refill] are tagged as hardening requests
+    ({!Pass.t}'s [request]); the others transform the IR and form the
+    optimization prefix the manager may reuse. *)
 
 val names : string list
 (** Registered pass names, alphabetical. *)

@@ -2,15 +2,24 @@ type t = {
   direct : (int, int) Hashtbl.t;
   indirect : (int, (string, int) Hashtbl.t) Hashtbl.t;
   entries : (string, int) Hashtbl.t;
+  mutable version : int;  (* bumped by every mutator below *)
 }
 
 let create () =
-  { direct = Hashtbl.create 512; indirect = Hashtbl.create 256; entries = Hashtbl.create 512 }
+  {
+    direct = Hashtbl.create 512;
+    indirect = Hashtbl.create 256;
+    entries = Hashtbl.create 512;
+    version = 0;
+  }
 
-let bump tbl key count =
+let version t = t.version
+
+let bump t tbl key count =
+  t.version <- t.version + 1;
   Hashtbl.replace tbl key (count + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let add_direct t ~origin ~count = bump t.direct origin count
+let add_direct t ~origin ~count = bump t t.direct origin count
 
 let add_indirect t ~origin ~target ~count =
   let vp =
@@ -21,9 +30,9 @@ let add_indirect t ~origin ~target ~count =
       Hashtbl.replace t.indirect origin vp;
       vp
   in
-  bump vp target count
+  bump t vp target count
 
-let add_entry t ~func ~count = bump t.entries func count
+let add_entry t ~func ~count = bump t t.entries func count
 let direct_count t ~origin = Option.value ~default:0 (Hashtbl.find_opt t.direct origin)
 
 let value_profile t ~origin =
@@ -56,13 +65,14 @@ let remove_indirect_target t ~origin ~target =
   match Hashtbl.find_opt t.indirect origin with
   | None -> ()
   | Some vp ->
+    t.version <- t.version + 1;
     Hashtbl.remove vp target;
     if Hashtbl.length vp = 0 then Hashtbl.remove t.indirect origin
 
 let copy t =
   let indirect = Hashtbl.create (max 16 (Hashtbl.length t.indirect)) in
   Hashtbl.iter (fun origin vp -> Hashtbl.replace indirect origin (Hashtbl.copy vp)) t.indirect;
-  { direct = Hashtbl.copy t.direct; indirect; entries = Hashtbl.copy t.entries }
+  { direct = Hashtbl.copy t.direct; indirect; entries = Hashtbl.copy t.entries; version = 0 }
 
 let merge a b =
   let t = create () in

@@ -65,6 +65,14 @@ val remove_indirect_target : t -> origin:int -> target:string -> unit
     been promoted to a direct call, leaving the fallback indirect site
     with only the residual weight). *)
 
+val version : t -> int
+(** A counter every mutator above ([add_direct], [add_indirect],
+    [add_entry], [remove_indirect_target]) bumps.  Together with physical
+    identity it names the profile's current contents without reading
+    them: the pass manager keys its optimization-prefix reuse on the
+    pair, so a profile mutated between two builds is never served the
+    first build's prefix. *)
+
 (** {2 Staleness matching} *)
 
 type match_stats = {

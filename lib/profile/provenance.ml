@@ -22,6 +22,9 @@ type t = {
 }
 
 let create () = { rev_instances = []; promotions = Hashtbl.create 64 }
+
+(* Instances are immutable, so only the two mutable containers are fresh. *)
+let copy t = { rev_instances = t.rev_instances; promotions = Hashtbl.copy t.promotions }
 let instances t = List.rev t.rev_instances
 let inline_count t = List.length t.rev_instances
 let promotion t origin = Hashtbl.find_opt t.promotions origin

@@ -47,6 +47,11 @@ type instance = {
 type t
 
 val create : unit -> t
+
+val copy : t -> t
+(** An independent copy: recording into either never shows in the
+    other.  The pass manager hands every reused build its own copy. *)
+
 val is_empty : t -> bool
 
 val record_inline :

@@ -275,6 +275,187 @@ let test_profile_copy_is_independent () =
   Alcotest.(check bool) "the copy really was mutated" true
     (not (String.equal before (Profile.to_string copy)))
 
+(* ------------------------------------------------------------------ *)
+(* Optimization-prefix reuse                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Provenance = Pibe_profile.Provenance
+module Program = Pibe_ir.Program
+module Trace = Pibe_trace.Trace
+
+(* The benchmark's build matrix: every defense set shares each level's
+   optimization prefix. *)
+let levels =
+  [
+    Pibe.Config.No_opt;
+    Pibe.Config.Icp_only { budget = 99.999 };
+    Pibe.Config.Full { icp_budget = 99.999; inline_budget = 99.9; lax = false };
+    Pibe.Config.Full { icp_budget = 99.999; inline_budget = 99.9999; lax = true };
+  ]
+
+let defense_sets =
+  Pibe.Exp_common.
+    [
+      Pass.no_defenses;
+      retpolines_only;
+      ret_retpolines_only;
+      lvi_only;
+      all_defenses;
+      fineibt_pac;
+    ]
+
+let config opt defenses = { Pibe.Config.opt; defenses }
+let matrix_order = List.concat_map (fun o -> List.map (config o) defense_sets) levels
+let interleaved = List.concat_map (fun d -> List.map (fun o -> config o d) levels) defense_sets
+
+let label (c : Pibe.Config.t) = Spec.to_string (Pibe.Pipeline.spec_of_config c)
+
+(* Checks that two builds hand back the same thing, wall-clock times
+   aside: the image (program, protections, size), the per-pass stats,
+   the post-ICP profile and the provenance. *)
+let check_same_build what (a : Pibe.Pipeline.built) (b : Pibe.Pipeline.built) =
+  let pa = a.Pibe.Pipeline.image.Pass.prog and pb = b.Pibe.Pipeline.image.Pass.prog in
+  let funcs p = List.map (Program.find p) (Program.layout_order p) in
+  Alcotest.(check bool) (what ^ ": image functions") true (funcs pa = funcs pb);
+  Alcotest.(check bool)
+    (what ^ ": fptr table, memory, site counter")
+    true
+    (pa.Program.fptr_table = pb.Program.fptr_table
+    && Program.initial_memory pa = Program.initial_memory pb
+    && pa.Program.next_site = pb.Program.next_site);
+  let img (b : Pibe.Pipeline.built) =
+    let i = b.Pibe.Pipeline.image in
+    (Pass.image_bytes i, i.Pass.hardened_icall_sites, i.Pass.hardened_ret_sites, i.Pass.defenses)
+  in
+  Alcotest.(check bool) (what ^ ": image bytes and protections") true (img a = img b);
+  let stats (b : Pibe.Pipeline.built) =
+    List.map
+      (fun (s : Manager.pass_stats) -> { s with Manager.wall_s = 0.0 })
+      b.Pibe.Pipeline.pass_stats
+  in
+  Alcotest.(check bool) (what ^ ": pass stats") true (stats a = stats b);
+  Alcotest.(check string) (what ^ ": post-ICP profile")
+    (Profile.to_string a.Pibe.Pipeline.post_icp_profile)
+    (Profile.to_string b.Pibe.Pipeline.post_icp_profile);
+  Alcotest.(check string) (what ^ ": provenance")
+    (Provenance.to_string a.Pibe.Pipeline.provenance)
+    (Provenance.to_string b.Pibe.Pipeline.provenance)
+
+(* A build that cannot reuse anything: a fresh profile copy is a key no
+   earlier run used, and the program is a physically distinct parse of
+   the printed kernel. *)
+let cold_build prog_copy profile cfg =
+  Pibe.Pipeline.build prog_copy (Profile.copy profile) cfg
+
+(* Builds [configs] under a trace and returns them with the prefix-cache
+   (hits, misses) the trace recorded. *)
+let traced_builds prog profile configs =
+  Trace.start ();
+  let builds =
+    Fun.protect
+      ~finally:(fun () -> if Trace.enabled () then ignore (Trace.stop ()))
+      (fun () -> List.map (Pibe.Pipeline.build ~verify:true prog profile) configs)
+  in
+  let totals = Trace.counter_totals (Trace.stop ()) in
+  let count name =
+    int_of_float (Option.value ~default:0.0 (List.assoc_opt ("sched", name, "count") totals))
+  in
+  (builds, (count "prefix-cache-hit", count "prefix-cache-miss"))
+
+let test_prefix_reuse_matches_cold () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let prog_copy = Pibe_ir.Parser.parse_program (Pibe_ir.Printer.program_to_string prog) in
+  let cold = List.map (fun c -> (c, cold_build prog_copy profile c)) matrix_order in
+  (* a profile no earlier test built with, so the first build of each
+     level is the only miss *)
+  let warm_profile = Profile.copy profile in
+  let check_order order configs ~hits ~misses =
+    let builds, (h, m) = traced_builds prog warm_profile configs in
+    List.iter2
+      (fun c b -> check_same_build (order ^ " " ^ label c) (List.assoc c cold) b)
+      configs builds;
+    Alcotest.(check (pair int int)) (order ^ ": prefix hits, misses") (hits, misses) (h, m)
+  in
+  check_order "matrix order" matrix_order ~hits:20 ~misses:4;
+  check_order "interleaved" interleaved ~hits:24 ~misses:0
+
+let test_prefix_reuse_mutation_safety () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let prog_copy = Pibe_ir.Parser.parse_program (Pibe_ir.Printer.program_to_string prog) in
+  let cfg = Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses in
+  let profile = Profile.copy (Pibe.Env.lmbench_profile env) in
+  let first = Pibe.Pipeline.build prog profile cfg in
+  (* mutating the input profile changes the key: the next build is the
+     cold build of the mutated profile, not a replay of the first *)
+  let origin =
+    match Program.all_sites prog with
+    | (_, s) :: _ -> s.Pibe_ir.Types.site_origin
+    | [] -> Alcotest.fail "kernel without call sites"
+  in
+  Profile.add_direct profile ~origin ~count:1_000_000;
+  let mutated = Pibe.Pipeline.build prog profile cfg in
+  check_same_build "after Profile.add_direct" (cold_build prog_copy profile cfg) mutated;
+  Alcotest.(check bool) "the mutation reached the build" true
+    (Profile.to_string first.Pibe.Pipeline.post_icp_profile
+    <> Profile.to_string mutated.Pibe.Pipeline.post_icp_profile);
+  (* what a build hands back is the caller's own: scribbling on it after
+     a miss or after a hit never reaches a later hit *)
+  let reference = cold_build prog_copy profile cfg in
+  let scribble (b : Pibe.Pipeline.built) =
+    Profile.add_direct b.Pibe.Pipeline.post_icp_profile ~origin ~count:7;
+    Provenance.record_promotion b.Pibe.Pipeline.provenance ~promoted_origin:max_int ~origin
+      ~target:"scribbled"
+  in
+  let fresh = Profile.copy profile in
+  let miss = Pibe.Pipeline.build prog fresh cfg in
+  scribble miss;
+  let hit = Pibe.Pipeline.build prog fresh cfg in
+  check_same_build "hit after scribbling on a miss" reference hit;
+  scribble hit;
+  check_same_build "hit after scribbling on a hit" reference (Pibe.Pipeline.build prog fresh cfg)
+
+(* The manager's snapshot sums function sizes instead of building a
+   layout; both must agree on the pristine kernel and after every
+   optimization level. *)
+let test_snapshot_code_bytes () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let check what p =
+    Alcotest.(check int) (what ^ ": code bytes")
+      (Pibe_ir.Layout.total_code_bytes (Pibe_ir.Layout.build p))
+      (Manager.snapshot p).Manager.code_bytes
+  in
+  check "kernel" prog;
+  List.iter
+    (fun o ->
+      let c = config o Pibe.Exp_common.all_defenses in
+      check (label c) (Pibe.Pipeline.build prog profile c).Pibe.Pipeline.image.Pass.prog)
+    levels
+
+(* [?check] is a per-pass side effect, so a run given one never reuses a
+   prefix: the hook sees every pass of every run. *)
+let test_prefix_reuse_bypassed_by_check () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Profile.copy (Pibe.Env.lmbench_profile env) in
+  let spec =
+    Pibe.Pipeline.spec_of_config (Pibe.Exp_common.best_config Pibe.Exp_common.fineibt_pac)
+  in
+  let calls = ref 0 in
+  let run () =
+    match Pibe.Pipeline.run_spec ~check:(fun _ -> incr calls) prog profile spec with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  ignore (Pibe.Pipeline.run_spec prog profile spec);
+  run ();
+  run ();
+  Alcotest.(check int) "hook ran after every pass of both runs" (2 * List.length spec) !calls
+
 let suite =
   [
     Helpers.qcheck_to_alcotest prop_spec_round_trip;
@@ -288,4 +469,8 @@ let suite =
     ("manager matches the seed pipeline", `Slow, test_manager_matches_legacy_pipeline);
     ("run_spec reports unknown passes", `Quick, test_manager_run_spec_errors);
     ("profile copy is independent", `Quick, test_profile_copy_is_independent);
+    ("snapshot code bytes match the layout", `Quick, test_snapshot_code_bytes);
+    ("prefix reuse matches cold builds", `Slow, test_prefix_reuse_matches_cold);
+    ("prefix reuse is mutation-safe", `Quick, test_prefix_reuse_mutation_safety);
+    ("prefix reuse bypassed by a check hook", `Quick, test_prefix_reuse_bypassed_by_check);
   ]

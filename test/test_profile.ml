@@ -372,6 +372,51 @@ let test_provenance_roundtrip () =
     (Some (7, "ext4_read"))
     (Provenance.promotion pv 900)
 
+let test_provenance_copy_independent () =
+  let pv = Provenance.of_string provenance_fixture in
+  let cp = Provenance.copy pv in
+  Alcotest.(check string) "copy round-trips" provenance_fixture (Provenance.to_string cp);
+  Provenance.record_promotion cp ~promoted_origin:901 ~origin:8 ~target:"ext4_write";
+  Alcotest.(check string) "original unchanged by the copy's promotion" provenance_fixture
+    (Provenance.to_string pv);
+  (* an inline recorded into the original stays out of the copy *)
+  let prog = (Helpers.kernel ()).Pibe_kernel.Gen.prog in
+  let caller, site_id, callee =
+    match
+      List.find_map
+        (fun name ->
+          Func.fold_insts (Program.find prog name) ~init:None ~f:(fun acc i ->
+              match (acc, i) with
+              | None, Types.Call { site; callee; _ } -> Some (name, site.Types.site_id, callee)
+              | _ -> acc))
+        (Program.layout_order prog)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "kernel without a direct call"
+  in
+  let copied = Provenance.to_string cp in
+  Provenance.record_inline pv ~prog_before:prog ~caller ~site_id ~callee ~cloned:[]
+    ~trained_count:5 ~trained_caller_entries:1;
+  Alcotest.(check int) "original gained the instance" 4 (Provenance.inline_count pv);
+  Alcotest.(check string) "copy unchanged by the original's inline" copied
+    (Provenance.to_string cp)
+
+let test_version_counts_mutations () =
+  let p = Profile.create () in
+  let step name f =
+    let v = Profile.version p in
+    f ();
+    Alcotest.(check bool) (name ^ " bumps the version") true (Profile.version p > v)
+  in
+  step "add_direct" (fun () -> Profile.add_direct p ~origin:1 ~count:1);
+  step "add_indirect" (fun () -> Profile.add_indirect p ~origin:2 ~target:"f" ~count:1);
+  step "add_entry" (fun () -> Profile.add_entry p ~func:"f" ~count:1);
+  step "remove_indirect_target" (fun () -> Profile.remove_indirect_target p ~origin:2 ~target:"f");
+  let v = Profile.version p in
+  ignore
+    (Profile.to_string p, Profile.copy p, Profile.site_weight p { Types.site_id = 1; site_origin = 1 });
+  Alcotest.(check int) "reads and copies leave it alone" v (Profile.version p)
+
 let test_provenance_rejects_garbage () =
   List.iter
     (fun line ->
@@ -528,6 +573,8 @@ let suite =
     ("collector lift matches execution", `Quick, test_collector_lift_matches_execution);
     ("collector invocation counts", `Quick, test_collector_invocations_match);
     ("provenance round-trips", `Quick, test_provenance_roundtrip);
+    ("provenance copy is independent", `Quick, test_provenance_copy_independent);
+    ("version counts every mutation", `Quick, test_version_counts_mutations);
     ("provenance rejects garbage", `Quick, test_provenance_rejects_garbage);
     ("match_to: empty profile", `Quick, test_match_to_empty_profile);
     ("match_to: all sites vanished", `Quick, test_match_to_all_sites_vanished);

@@ -210,6 +210,37 @@ let test_counter_merge_across_domains () =
   (* the merged totals are independent of which domain emitted what *)
   Alcotest.(check bool) "parallel totals equal sequential" true (seq = par)
 
+(* ------------------------ optimization reuse ------------------------ *)
+
+(* A build that reuses a cached optimization prefix replays the reused
+   passes' spans and counters, so its canonical stream equals the cold
+   build's; the reuse itself shows only as "sched" traffic. *)
+let test_prefix_reuse_canonical () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  (* a profile no other build used: the first run below is a miss *)
+  let profile = Pibe_profile.Profile.copy (Pibe.Env.lmbench_profile env) in
+  let config = Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses in
+  let build () = ignore (Pibe.Pipeline.build prog profile config) in
+  let cold = collect build in
+  let warm = collect build in
+  let reuse_counters evs =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.ph = Trace.Counter && String.starts_with ~prefix:"prefix-cache-" e.Trace.name
+        then Some (e.Trace.cat, e.Trace.name)
+        else None)
+      evs
+  in
+  let pairs = Alcotest.(list (pair string string)) in
+  Alcotest.check pairs "cold build: one sched miss" [ ("sched", "prefix-cache-miss") ]
+    (reuse_counters cold);
+  Alcotest.check pairs "warm build: one sched hit" [ ("sched", "prefix-cache-hit") ]
+    (reuse_counters warm);
+  Alcotest.(check bool) "warm trace balanced" true (Trace.check_balanced warm = Ok ());
+  Alcotest.(check (list string)) "canonical warm = cold" (Trace.canonical cold)
+    (Trace.canonical warm)
+
 (* --------------------- determinism across --jobs --------------------- *)
 
 let test_canonical_jobs_invariant () =
@@ -244,4 +275,6 @@ let suite =
       test_counter_merge_across_domains;
     Alcotest.test_case "canonical content identical at any --jobs" `Quick
       test_canonical_jobs_invariant;
+    Alcotest.test_case "prefix reuse keeps the canonical trace" `Quick
+      test_prefix_reuse_canonical;
   ]

@@ -14,8 +14,10 @@ test:
 
 # Everything a PR must keep green: build, the full test suite, the doc
 # lint (see `docs`), a pass-manager smoke run with inter-pass IR
-# validation on (traced, so the trace layer stays wired end to end), a
-# one-window continuous-profiling smoke on the tiny kernel, the fleet,
+# validation on (traced, so the trace layer stays wired end to end), the
+# same validation on the paper-scale kernel, whose lax inlining grows
+# syscall_entry to about 2,000 blocks, a one-window
+# continuous-profiling smoke on the tiny kernel, the fleet,
 # frontier and stale/fixpoint jobs-invariance smokes, a dispatch-floor
 # microbenchmark smoke (tier table prints end to end), and the
 # cross-backend parity smoke (see `parity`).
@@ -27,6 +29,9 @@ check:
 	dune exec bin/pibe_cli.exe -- pipeline --scale 1 \
 	  --passes "icp(budget=99.999),inline(budget=99.9,lax),cleanup,retpoline,ret-retpoline" \
 	  --verify --trace $(SCRATCH)/smoke_trace.json --trace-format chrome
+	dune exec bin/pibe_cli.exe -- pipeline --scale 3 \
+	  --passes "icp(budget=99.999),inline(budget=99.9999,lax),cleanup,retpoline,ret-retpoline,lvi-cfi" \
+	  --verify
 	dune exec bin/pibe_cli.exe -- online --scale 1 --windows 1 --requests 30
 	$(MAKE) bench-smoke-fleet
 	$(MAKE) bench-smoke-frontier

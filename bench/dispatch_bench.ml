@@ -152,11 +152,11 @@ let warm_engine prog ~entry ~warmup cfg =
    ns of wall-clock per simulated instruction executed in the batch. *)
 let time_batch e ~entry ~runs =
   let insts0 = (Pibe_cpu.Engine.counters e).Pibe_cpu.Engine.insts in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Pibe_trace.Trace.now_s () in
   for _ = 1 to runs do
     ignore (Pibe_cpu.Engine.call e entry [ iters_per_call ])
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Pibe_trace.Trace.now_s () -. t0 in
   let di = (Pibe_cpu.Engine.counters e).Pibe_cpu.Engine.insts - insts0 in
   dt *. 1e9 /. float_of_int di
 

@@ -228,7 +228,7 @@ let () =
     | [] -> List.map (fun (e : Pibe.Experiments.t) -> e.Pibe.Experiments.id) Pibe.Experiments.all
     | ids -> List.rev ids
   in
-  let t0_wall = Unix.gettimeofday () in
+  let t0_wall = Pibe_trace.Trace.now_s () in
   let t0_cpu = Sys.time () in
   if !time_runs > 0 then
     (* Timing mode (the interleaved warm-run protocol of BENCH_PR*.json):
@@ -242,10 +242,10 @@ let () =
           | Some e ->
             ignore (e.Pibe.Experiments.run env);
             for i = 1 to !time_runs do
-              let t0 = Unix.gettimeofday () in
+              let t0 = Pibe_trace.Trace.now_s () in
               ignore (e.Pibe.Experiments.run env);
               Printf.printf "time %s %d %.6f\n%!" e.Pibe.Experiments.id i
-                (Unix.gettimeofday () -. t0)
+                (Pibe_trace.Trace.now_s () -. t0)
             done
           | None ->
             Printf.eprintf "unknown experiment id %s\n" id;
@@ -287,6 +287,6 @@ let () =
     Printf.eprintf "trace: wrote %d events to %s (%s)\n" (List.length events) path
       (Pibe_trace.Trace.format_to_string fmt));
   Printf.printf "\n[bench harness finished in %.1fs wall clock (%.1fs host CPU, %d jobs)]\n"
-    (Unix.gettimeofday () -. t0_wall)
+    (Pibe_trace.Trace.now_s () -. t0_wall)
     (Sys.time () -. t0_cpu)
     !jobs

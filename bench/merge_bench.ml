@@ -67,9 +67,9 @@ let snapshot rng ~sites =
 let time_best f =
   let best = ref infinity in
   for _ = 1 to !repeats do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Pibe_trace.Trace.now_s () in
     ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Pibe_trace.Trace.now_s () -. t0 in
     if dt < !best then best := dt
   done;
   !best

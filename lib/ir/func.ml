@@ -60,13 +60,24 @@ let successors = function
   | Switch { cases; default; _ } -> default :: Array.to_list (Array.map snd cases)
   | Ret _ -> []
 
+let iter_successors term g =
+  match term with
+  | Jmp l -> g l
+  | Br (_, l1, l2) ->
+    g l1;
+    g l2
+  | Switch { cases; default; _ } ->
+    g default;
+    Array.iter (fun (_, l) -> g l) cases
+  | Ret _ -> ()
+
 let reachable_labels f =
   let n = Array.length f.blocks in
   let seen = Array.make n false in
   let rec go l =
     if l >= 0 && l < n && not seen.(l) then begin
       seen.(l) <- true;
-      List.iter go (successors f.blocks.(l).term)
+      iter_successors f.blocks.(l).term go
     end
   in
   go f.entry;

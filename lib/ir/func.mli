@@ -34,6 +34,9 @@ val inst_count : func -> int
 
 val successors : terminator -> label list
 
+val iter_successors : terminator -> (label -> unit) -> unit
+(** [List.iter g (successors t)] without building the list. *)
+
 val reachable_labels : func -> bool array
 (** [reachable_labels f] marks blocks reachable from the entry. *)
 

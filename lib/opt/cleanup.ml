@@ -234,126 +234,209 @@ let thread_and_compact f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global liveness + dead pure-assignment elimination.                 *)
+(* Sparse liveness + dead pure-assignment elimination.                 *)
 (* ------------------------------------------------------------------ *)
 
-module Regset = Set.Make (Int)
+let iter_operand g = function
+  | Imm _ -> ()
+  | Reg r -> g r
 
-let operand_uses acc = function
-  | Imm _ -> acc
-  | Reg r -> Regset.add r acc
+let rec iter_operands g = function
+  | [] -> ()
+  | o :: rest ->
+    iter_operand g o;
+    iter_operands g rest
 
-let expr_uses acc = function
-  | Const _ -> acc
-  | Move o | Load o -> operand_uses acc o
-  | Binop (_, a, b) -> operand_uses (operand_uses acc a) b
+let iter_inst_uses g = function
+  | Assign (_, Const _) -> ()
+  | Assign (_, (Move o | Load o)) | Observe o | Asm_icall { fptr = o; _ } -> iter_operand g o
+  | Assign (_, Binop (_, a, b)) | Store (a, b) ->
+    iter_operand g a;
+    iter_operand g b
+  | Call { args; _ } -> iter_operands g args
+  | Icall { fptr; args; _ } ->
+    iter_operand g fptr;
+    iter_operands g args
 
-let inst_uses acc = function
-  | Assign (_, e) -> expr_uses acc e
-  | Store (a, v) -> operand_uses (operand_uses acc a) v
-  | Observe v -> operand_uses acc v
-  | Call { args; _ } -> List.fold_left operand_uses acc args
-  | Icall { fptr; args; _ } -> List.fold_left operand_uses (operand_uses acc fptr) args
-  | Asm_icall { fptr; _ } -> operand_uses acc fptr
+let iter_inst_def g = function
+  | Assign (d, _) | Call { dst = Some d; _ } | Icall { dst = Some d; _ } -> g d
+  | Call { dst = None; _ } | Icall { dst = None; _ } | Asm_icall _ | Store _ | Observe _ -> ()
 
-let term_uses acc = function
-  | Jmp _ -> acc
-  | Br (c, _, _) -> operand_uses acc c
-  | Switch { scrutinee; _ } -> operand_uses acc scrutinee
-  | Ret (Some v) -> operand_uses acc v
-  | Ret None -> acc
+let iter_term_uses g = function
+  | Jmp _ | Ret None -> ()
+  | Br (o, _, _) | Switch { scrutinee = o; _ } | Ret (Some o) -> iter_operand g o
 
+(* Liveness is solved per register, not per block.  A register is live
+   out of a block iff a path from one of its successors reads it before
+   anything writes it, so a backward walk from the blocks that read it
+   first, stopped at the blocks that write it, reaches exactly the
+   blocks it is live into and the writers it is live out of.  The sweep
+   only asks about a block's own writes, so the writers are all the walk
+   records.  The cost is the size of the live ranges, where a per-block
+   set dataflow rescans a block and merges whole sets on every worklist
+   visit; both compute the same least fixpoint.  The closures below are
+   made once per call, not per block or register, and read the block or
+   slot at hand from [cur]. *)
 let eliminate_dead f =
   let n = Array.length f.blocks in
-  (* Backward dataflow: live-in/live-out per block, worklist-driven.  A
-     block is rescanned only when the live-in of a successor changed, so
-     converged regions are never revisited and there is no final
-     verify-everything pass.  Liveness is a monotone framework with a
-     unique least fixpoint, so the visit order cannot change the
-     result. *)
-  let live_in = Array.make n Regset.empty in
-  let live_out = Array.make n Regset.empty in
-  let block_live_in l =
-    let b = f.blocks.(l) in
-    let live = ref (term_uses live_out.(l) b.term) in
-    for i = Array.length b.insts - 1 downto 0 do
-      (match b.insts.(i) with
-      | Assign (d, _) -> live := Regset.remove d !live
-      | Call { dst = Some d; _ } | Icall { dst = Some d; _ } -> live := Regset.remove d !live
-      | Call { dst = None; _ } | Icall { dst = None; _ } | Asm_icall _ | Store _ | Observe _
-        -> ());
-      live := inst_uses !live b.insts.(i)
-    done;
-    !live
+  (* Register slots.  Validated IR names registers densely from 0, so a
+     name is its own slot.  A body naming a negative register (which the
+     validator rejects) or one at twice its count of register mentions
+     or beyond (a very sparse body) is renumbered through a table
+     instead, so no name can size an array beyond the body. *)
+  let lo = ref 0 and hi = ref (-1) and mentions = ref 0 in
+  let note r =
+    incr mentions;
+    if r < !lo then lo := r;
+    if r > !hi then hi := r
   in
-  let preds = Array.make n [] in
+  let note_inst i =
+    iter_inst_uses note i;
+    iter_inst_def note i
+  in
+  Array.iter
+    (fun b ->
+      Array.iter note_inst b.insts;
+      iter_term_uses note b.term)
+    f.blocks;
+  let size, slot =
+    if !lo >= 0 && !hi < 2 * !mentions then (!hi + 1, Fun.id)
+    else
+      let slots = Hashtbl.create 64 in
+      ( !mentions,
+        fun r ->
+          match Hashtbl.find_opt slots r with
+          | Some s -> s
+          | None ->
+            let s = Hashtbl.length slots in
+            Hashtbl.add slots r s;
+            s )
+  in
+  let cur = ref 0 in
+  (* Two forward scans fill one list per slot with tagged block labels,
+     newest first, each block at most once per tag: [2l] when block [l]
+     reads the slot before writing it, then, only for slots some block
+     reads that way, [2l + 1] when [l] writes it.  A slot no block reads
+     first is dead at every block exit, so its writers need no walk.
+     During the first scan [mark.(s)] is the last block that wrote slot
+     [s]. *)
+  let events = Array.make size [] and mark = Array.make size (-1) in
+  let read r =
+    let s = slot r and l = !cur in
+    if mark.(s) <> l then
+      match events.(s) with
+      | e :: _ when e = 2 * l -> ()
+      | es -> events.(s) <- (2 * l) :: es
+  in
+  let write r = mark.(slot r) <- !cur in
+  let scan_inst i =
+    iter_inst_uses read i;
+    iter_inst_def write i
+  in
   Array.iteri
     (fun l b ->
-      List.iter (fun s -> preds.(s) <- l :: preds.(s)) (Func.successors b.term))
+      cur := l;
+      Array.iter scan_inst b.insts;
+      iter_term_uses read b.term)
     f.blocks;
-  let queued = Array.make n true in
-  (* seed head-first with block n-1 so the initial sweep runs in the
-     reverse order that backward liveness converges fastest in *)
-  let work = ref [] in
-  for l = 0 to n - 1 do
-    work := l :: !work
-  done;
-  let continue = ref true in
-  while !continue do
-    match !work with
-    | [] -> continue := false
-    | l :: rest ->
-      work := rest;
-      queued.(l) <- false;
-      live_out.(l) <-
-        List.fold_left
-          (fun acc s -> Regset.union acc live_in.(s))
-          Regset.empty
-          (Func.successors f.blocks.(l).term);
-      let inn = block_live_in l in
-      if not (Regset.equal inn live_in.(l)) then begin
-        live_in.(l) <- inn;
-        List.iter
-          (fun p ->
-            if not queued.(p) then begin
-              queued.(p) <- true;
-              work := p :: !work
-            end)
-          preds.(l)
-      end
-  done;
-  let removed = ref 0 in
-  let blocks =
-    Array.mapi
-      (fun l b ->
-        let removed_before = !removed in
-        let live = ref (term_uses live_out.(l) b.term) in
-        let kept = ref [] in
-        for i = Array.length b.insts - 1 downto 0 do
-          let inst = b.insts.(i) in
-          let keep =
-            match inst with
-            | Assign (d, _) when not (Regset.mem d !live) ->
-              (* pure computation whose result is never read: drop it
-                 (loads are treated as speculatable, as in LLVM) *)
-              incr removed;
-              false
-            | Assign _ | Store _ | Observe _ | Call _ | Icall _ | Asm_icall _ -> true
-          in
-          if keep then begin
-            (match inst with
-            | Assign (d, _) -> live := Regset.remove d !live
-            | Call { dst = Some d; _ } | Icall { dst = Some d; _ } ->
-              live := Regset.remove d !live
-            | _ -> ());
-            live := inst_uses !live inst;
-            kept := inst :: !kept
-          end
-        done;
-        if !removed = removed_before then b else { b with insts = Array.of_list !kept })
-      f.blocks
+  let write r =
+    let s = slot r and e = (2 * !cur) + 1 in
+    match events.(s) with
+    | [] -> ()
+    | e' :: _ when e' = e -> ()
+    | es -> events.(s) <- e :: es
   in
-  if !removed = 0 then (f, 0) else ({ f with blocks }, !removed)
+  let scan_def i = iter_inst_def write i in
+  Array.iteri
+    (fun l b ->
+      cur := l;
+      Array.iter scan_def b.insts)
+    f.blocks;
+  let preds = Array.make n [] in
+  let add_pred s = preds.(s) <- !cur :: preds.(s) in
+  Array.iteri
+    (fun l b ->
+      cur := l;
+      Func.iter_successors b.term add_pred)
+    f.blocks;
+  (* The walks, one per slot that is both read first and written.
+     [live_out.(l)] collects the slots written in [l] that are live on
+     exit from it (a repeat would be at the head); [writer.(l)] and
+     [reached.(l)] are the slot whose walk last marked [l] as writing
+     it and as live into it. *)
+  let live_out = Array.make n [] in
+  let writer = Array.make n (-1) and reached = Array.make n (-1) in
+  let stack = Array.make n 0 and top = ref 0 in
+  let push l =
+    reached.(l) <- !cur;
+    stack.(!top) <- l;
+    incr top
+  in
+  let start e = if e land 1 = 1 then writer.(e / 2) <- !cur else push (e / 2) in
+  let visit p =
+    let s = !cur in
+    if writer.(p) = s then begin
+      match live_out.(p) with
+      | s' :: _ when s' = s -> ()
+      | ss -> live_out.(p) <- s :: ss
+    end
+    else if reached.(p) <> s then push p
+  in
+  Array.iteri
+    (fun s es ->
+      match es with
+      | e :: _ when e land 1 = 1 ->
+        cur := s;
+        List.iter start es;
+        while !top > 0 do
+          decr top;
+          List.iter visit preds.(stack.(!top))
+        done
+      | _ -> ())
+    events;
+  (* The removal sweep, backward through each block over [mark], now
+     stamped per block: while sweeping block [l], [mark.(s) = n + l]
+     means slot [s] is live at that point (the scans left only labels
+     below [n] there).  The blocks array is copied on the first
+     removal. *)
+  let gen r = mark.(slot r) <- n + !cur in
+  let gen_slot s = mark.(s) <- n + !cur in
+  let kill r = mark.(slot r) <- -1 in
+  let removed = ref 0 and blocks = ref f.blocks in
+  Array.iteri
+    (fun l b ->
+      cur := l;
+      List.iter gen_slot live_out.(l);
+      iter_term_uses gen b.term;
+      let dead = ref [] in
+      for i = Array.length b.insts - 1 downto 0 do
+        match b.insts.(i) with
+        | Assign (d, _) when mark.(slot d) <> n + l ->
+          (* pure computation whose result is never read: drop it
+             (loads are treated as speculatable, as in LLVM) *)
+          dead := i :: !dead
+        | inst ->
+          iter_inst_def kill inst;
+          iter_inst_uses gen inst
+      done;
+      match !dead with
+      | [] -> ()
+      | dead ->
+        let len = Array.length b.insts and ndead = List.length dead in
+        removed := !removed + ndead;
+        let kept = Array.make (len - ndead) b.insts.(0) in
+        let next = ref 0 and dead = ref dead in
+        for i = 0 to len - 1 do
+          match !dead with
+          | d :: rest when d = i -> dead := rest
+          | _ ->
+            kept.(!next) <- b.insts.(i);
+            incr next
+        done;
+        if !blocks == f.blocks then blocks := Array.copy f.blocks;
+        !blocks.(l) <- { b with insts = kept })
+    f.blocks;
+  if !removed = 0 then (f, 0) else ({ f with blocks = !blocks }, !removed)
 
 (* ------------------------------------------------------------------ *)
 

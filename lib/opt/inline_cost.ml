@@ -13,11 +13,15 @@ let term_cost = function
   | Switch { cases; _ } -> standard + (standard * Array.length cases)
   | Ret _ -> standard
 
-let func_cost f =
-  Array.fold_left
-    (fun acc b ->
-      Array.fold_left (fun acc i -> acc + inst_cost i) (acc + term_cost b.term) b.insts)
-    0 f.blocks
+let block_cost b = Array.fold_left (fun acc i -> acc + inst_cost i) (term_cost b.term) b.insts
+let func_cost f = Array.fold_left (fun acc b -> acc + block_cost b) 0 f.blocks
+
+let inline_delta ~before ~after ~site_block =
+  let d = ref (block_cost after.blocks.(site_block) - block_cost before.blocks.(site_block)) in
+  for l = Array.length before.blocks to Array.length after.blocks - 1 do
+    d := !d + block_cost after.blocks.(l)
+  done;
+  !d
 
 let rule2_default = 12_000
 let rule3_default = 3_000

@@ -14,6 +14,14 @@ val term_cost : Pibe_ir.Types.terminator -> int
 val func_cost : Pibe_ir.Types.func -> int
 (** Sum over all instructions and terminators. *)
 
+val inline_delta :
+  before:Pibe_ir.Types.func -> after:Pibe_ir.Types.func -> site_block:Pibe_ir.Types.label -> int
+(** [func_cost after - func_cost before] for a caller before and after
+    {!Transform.inline_call} inlined the site in [site_block], from only
+    the blocks the inline touched: [site_block], rewritten, and every
+    block past [before]'s last, appended.  The inliner carries a caller's
+    cost forward by it instead of re-walking the grown caller. *)
+
 val rule2_default : int
 (** Caller-complexity cap: 12,000 (paper's experimentally determined
     inhibitor threshold). *)

@@ -98,7 +98,6 @@ let run ?provenance prog profile config =
       Hashtbl.replace cost_cache name c;
       c
   in
-  let invalidate name = Hashtbl.remove cost_cache name in
   (* Remaining-invocation discounting: once a function's callers have
      inlined it, the body that remains executes correspondingly less
      often, so candidates *inside* it are worth less.  Without this the
@@ -158,14 +157,16 @@ let run ?provenance prog profile config =
     callee_f.attrs.noinline || callee_f.attrs.optnone || callee_f.attrs.is_asm
     || caller_f.attrs.optnone || caller_f.attrs.is_asm
   in
-  let do_inline cand ~effective =
+  let do_inline cand ~effective ~caller_cost =
     let prog_before = !prog in
-    let p, cloned = Transform.inline_call !prog ~caller:cand.caller ~site_id:cand.site_id in
+    let p, cloned, site_block =
+      Transform.inline_call !prog ~caller:cand.caller ~site_id:cand.site_id
+    in
     prog := p;
     Option.iter
       (fun pv ->
         Pibe_profile.Provenance.record_inline pv ~prog_before ~caller:cand.caller
-          ~site_id:cand.site_id ~callee:cand.callee
+          ~site_id:cand.site_id ~site_block ~callee:cand.callee
           ~cloned:
             (List.map
                (fun (c : Transform.cloned_site) ->
@@ -173,7 +174,13 @@ let run ?provenance prog profile config =
                cloned)
           ~trained_count:cand.weight ~trained_caller_entries:(invocations cand.caller))
       provenance;
-    invalidate cand.caller;
+    (* the inline only rewrote the site's block and appended blocks:
+       carry the caller's cost forward by their difference *)
+    Hashtbl.replace cost_cache cand.caller
+      (caller_cost
+      + Inline_cost.inline_delta
+          ~before:(Program.find prog_before cand.caller)
+          ~after:(Program.find p cand.caller) ~site_block);
     incr inlined_sites;
     inlined_weight := !inlined_weight + effective;
     consume cand.callee effective;
@@ -224,7 +231,7 @@ let run ?provenance prog profile config =
              blocked_rule3 := !blocked_rule3 + effective
            else if (not lax) && caller_cost + callee_cost > config.rule2_threshold then
              blocked_rule2 := !blocked_rule2 + effective
-           else do_inline cand ~effective
+           else do_inline cand ~effective ~caller_cost
          end);
       loop ()
   in

@@ -79,12 +79,14 @@ let run ?provenance prog profile config =
           in
           if callee_cost <= threshold && caller_cost + callee_cost <= config.caller_cap then begin
             let prog_before = !prog in
-            let p, cloned = Transform.inline_call !prog ~caller ~site_id:site.site_id in
+            let p, cloned, site_block =
+              Transform.inline_call !prog ~caller ~site_id:site.site_id
+            in
             prog := p;
             Option.iter
               (fun pv ->
                 Pibe_profile.Provenance.record_inline pv ~prog_before ~caller
-                  ~site_id:site.site_id ~callee
+                  ~site_id:site.site_id ~site_block ~callee
                   ~cloned:
                     (List.map
                        (fun (c : Transform.cloned_site) ->

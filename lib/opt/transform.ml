@@ -17,26 +17,25 @@ type promotion = {
   promoted : (string * site) list;
 }
 
-exception Found_site of int * int * inst
-
 (* Site ids are unique program-wide (validated), so the first hit is the
    only hit: stop scanning as soon as it is found instead of walking the
-   remaining blocks and instructions. *)
+   remaining blocks and instructions.  The scan runs from the last block
+   back, because the inliners' next site is most often one that the
+   previous inline cloned into the blocks it appended, which a forward
+   scan reaches only after the whole grown caller. *)
 let find_site_in_func f site_id =
-  try
-    Array.iteri
-      (fun bi b ->
-        Array.iteri
-          (fun j i ->
-            match i with
-            | (Call { site; _ } | Icall { site; _ } | Asm_icall { site; _ })
-              when site.site_id = site_id ->
-              raise_notrace (Found_site (bi, j, i))
-            | _ -> ())
-          b.insts)
-      f.blocks;
-    None
-  with Found_site (bi, j, i) -> Some (bi, j, i)
+  let rec scan bi j =
+    if j >= 0 then
+      match f.blocks.(bi).insts.(j) with
+      | (Call { site; _ } | Icall { site; _ } | Asm_icall { site; _ }) as i
+        when site.site_id = site_id ->
+        Some (bi, j, i)
+      | _ -> scan bi (j - 1)
+    else if bi > 0 then scan (bi - 1) (Array.length f.blocks.(bi - 1).insts - 1)
+    else None
+  in
+  let n = Array.length f.blocks in
+  if n = 0 then None else scan (n - 1) (Array.length f.blocks.(n - 1).insts - 1)
 
 let offset_operand off = function
   | Reg r -> Reg (r + off)
@@ -170,7 +169,7 @@ let inline_call prog ~caller ~site_id =
         else { insts = suffix; term = split_block.term })
   in
   let cf' = { cf with blocks; nregs = cf.nregs + ff.nregs } in
-  (Program.update_func !prog cf', List.rev !cloned)
+  (Program.update_func !prog cf', List.rev !cloned, bi)
 
 (* ------------------------------------------------------------------ *)
 (* Indirect call promotion                                              *)

@@ -19,16 +19,22 @@ type cloned_site = {
 val find_site_in_func : Types.func -> int -> (int * int * Types.inst) option
 (** [(block index, instruction index, instruction)] of the call site with
     the given id, if present.  Site ids are unique program-wide, so the
-    scan stops at the first hit. *)
+    scan stops at the first hit.  It runs from the last block back, where
+    an inline appends the sites it clones. *)
 
 val inline_call :
-  Program.t -> caller:string -> site_id:int -> Program.t * cloned_site list
+  Program.t -> caller:string -> site_id:int -> Program.t * cloned_site list * Types.label
 (** Replaces the direct call with the callee's body: arguments become
     register moves, every [Ret] becomes an assignment to the call's
     destination plus a jump to the continuation block.  The callee's call
     sites are cloned with fresh ids (origins preserved) and reported.
-    Raises [Invalid_argument] if the site is missing, is not a direct
-    call, or the callee is unknown. *)
+    Also returns the caller block that held the call.  That block, cut
+    at the call and ending in the parameter moves and a jump to the
+    inlined entry, is the only one rewritten; the callee's blocks and
+    then the continuation are appended after the caller's last, and
+    every other block is shared with the input.  Raises
+    [Invalid_argument] if the site is missing, is not a direct call, or
+    the callee is unknown. *)
 
 type promotion = {
   fallback_site : Types.site;  (** the residual indirect call *)

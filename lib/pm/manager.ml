@@ -209,7 +209,7 @@ let split_prefix passes =
   go [] passes
 
 let run ?(verify = false) ?check prog profile passes =
-  let t_start = Unix.gettimeofday () in
+  let t_start = Trace.now_s () in
   let inspect prog =
     if verify then Validate.check_exn prog;
     Option.iter (fun f -> f prog) check
@@ -222,9 +222,9 @@ let run ?(verify = false) ?check prog profile passes =
       List.map
         (fun (p : Pass.t) ->
           Trace.span ~cat:"pm" ("pass:" ^ Spec.elem_to_string p.spec) (fun () ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Trace.now_s () in
               let st, detail = p.run !state in
-              let wall_s = Unix.gettimeofday () -. t0 in
+              let wall_s = Trace.now_s () -. t0 in
               inspect st.Pass.prog;
               let after =
                 if st.Pass.prog == !state.Pass.prog then !before else snapshot st.Pass.prog
@@ -288,7 +288,7 @@ let run ?(verify = false) ?check prog profile passes =
         profile = st.Pass.profile;
         provenance = st.Pass.provenance;
         passes = stats;
-        wall_s = Unix.gettimeofday () -. t_start;
+        wall_s = Trace.now_s () -. t_start;
       })
 
 (* ----------------------------- reporting ----------------------------- *)

@@ -2,9 +2,11 @@
     built-in per-pass instrumentation, then materializes the hardened
     image from the accumulated defense requests.
 
-    For every pass the manager records wall-clock time and an IR snapshot
-    delta (functions, blocks, instructions, code bytes, remaining indirect
-    forward edges, remaining returns, remaining jump tables).  With
+    For every pass the manager records its elapsed time, on the
+    monotonic clock of {!Pibe_trace.Trace.now_s} (a stepped system clock
+    cannot make it negative), and an IR snapshot delta (functions,
+    blocks, instructions, code bytes, remaining indirect forward edges,
+    remaining returns, remaining jump tables).  With
     [~verify:true] the IR validator runs between every pass (and on the
     final image); an optional [~check] hook — e.g. differential
     interpretation on a smoke workload — also runs after every pass.
@@ -40,7 +42,7 @@ val snapshot : Program.t -> snapshot
 
 type pass_stats = {
   pass : string;  (** canonical spec element, e.g. ["icp(budget=99.999)"] *)
-  wall_s : float;
+  wall_s : float;  (** elapsed seconds, monotonic clock *)
   before : snapshot;
   after : snapshot;
   detail : Pass.detail;
@@ -55,7 +57,7 @@ type result = {
       (** inline/promotion tree recorded by the optimization passes;
           shipped with the image for optimized-image profile lifting *)
   passes : pass_stats list;  (** in execution order *)
-  wall_s : float;  (** whole run, final hardening included *)
+  wall_s : float;  (** whole run, final hardening included; monotonic clock *)
 }
 
 val run :

@@ -42,12 +42,12 @@ let is_empty t = t.rev_instances = [] && Hashtbl.length t.promotions = 0
    [Ret] block) and cannot repeat (it is not reachable from itself).
    Call sites inside such a block are witnesses: their event count on the
    profiled image equals the number of times the surrounding body ran. *)
-(* Near-linear, because it runs once per inline instance on callers that
-   aggressive inlining can grow to thousands of blocks: dominators by the
+(* Every block's flag at once, for the callee side of [record_inline],
+   which needs a flag per cloned site: dominators by the
    Cooper-Harvey-Kennedy iterative idom scheme (RPO sweeps with chain
    intersection, O(E) per sweep and a couple of sweeps in practice) and
-   cycling by one Kosaraju SCC pass, instead of O(n^2) dominator bitsets
-   and a per-block DFS. *)
+   cycling by one Kosaraju SCC pass.  The caller side asks about one
+   block only and uses [runs_once]. *)
 let once_blocks (f : func) =
   let n = Array.length f.blocks in
   let succs = Array.map (fun b -> Func.successors b.term) f.blocks in
@@ -169,6 +169,58 @@ let once_blocks (f : func) =
       out);
   out
 
+(* [runs_once f bi] is [(once_blocks f).(bi)] from at most two
+   depth-first walks, without the dominator tree or the SCCs of the whole
+   function: [bi] runs once per invocation iff it is reachable and some
+   [Ret] is, no [Ret] is reachable from the entry once [bi] is removed
+   (so [bi] dominates every reachable [Ret]; the entry block passes
+   trivially), and [bi] is not reachable from its own successors.  Walks
+   stop early once the answer is known, and allocate two arrays of the
+   block count and nothing per block.  Labels outside the function are
+   ignored, as [Func.reachable_labels] ignores them. *)
+let runs_once (f : func) bi =
+  let n = Array.length f.blocks in
+  let seen = Array.make n 0 and stack = Array.make n 0 in
+  let walk = ref 1 and top = ref 0 and hit_bi = ref false in
+  (* [push l] queues [l] unless the current walk already saw it; [bi]
+     itself is never entered, only noted in [hit_bi] *)
+  let push l =
+    if l = bi then hit_bi := true
+    else if l >= 0 && l < n && seen.(l) <> !walk then begin
+      seen.(l) <- !walk;
+      stack.(!top) <- l;
+      incr top
+    end
+  in
+  let is_ret l = match f.blocks.(l).term with Ret _ -> true | _ -> false in
+  (* runs the current walk until [stop] holds or nothing is queued; true
+     when it popped a [Ret] block *)
+  let run ~stop =
+    let ret = ref false in
+    while !top > 0 && not (stop !ret) do
+      decr top;
+      let l = stack.(!top) in
+      if is_ret l then ret := true;
+      Func.iter_successors f.blocks.(l).term push
+    done;
+    !ret
+  in
+  bi >= 0 && bi < n
+  && begin
+    (* walk 1, from the entry around [bi]: a [Ret] found settles it *)
+    if f.entry = bi then hit_bi := true else push f.entry;
+    (not (run ~stop:Fun.id)) && !hit_bi
+    && begin
+      (* walk 2, from [bi]'s successors: reaching [bi] again settles it *)
+      walk := 2;
+      top := 0;
+      hit_bi := false;
+      Func.iter_successors f.blocks.(bi).term push;
+      let ret_after = run ~stop:(fun _ -> !hit_bi) in
+      (not !hit_bi) && (is_ret bi || ret_after)
+    end
+  end
+
 let sites_in_block (b : block) =
   Array.to_list
     (Array.map
@@ -181,24 +233,25 @@ let sites_in_block (b : block) =
 
 (* ----------------------------- recording ----------------------------- *)
 
-let record_inline t ~prog_before ~caller ~site_id ~callee ~cloned ~trained_count
-    ~trained_caller_entries =
+let record_inline t ~prog_before ~caller ~site_id ~site_block ~callee ~cloned
+    ~trained_count ~trained_caller_entries =
   let cf = Program.find prog_before caller in
   let ff = Program.find prog_before callee in
-  (* the consumed site: its origin and the caller block holding it *)
-  let consumed = ref None in
-  Array.iteri
-    (fun bi b ->
-      Array.iter
+  (* the consumed site's origin, from the block it is said to be in *)
+  let origin =
+    let origin_in b =
+      Array.find_map
         (function
-          | Call { site; _ } when site.site_id = site_id ->
-            consumed := Some (site.site_origin, bi)
-          | _ -> ())
-        b.insts)
-    cf.blocks;
-  let origin, bi =
-    match !consumed with
-    | Some x -> x
+          | Call { site; _ } when site.site_id = site_id -> Some site.site_origin
+          | _ -> None)
+        b.insts
+    in
+    match
+      if site_block >= 0 && site_block < Array.length cf.blocks then
+        origin_in cf.blocks.(site_block)
+      else None
+    with
+    | Some origin -> origin
     | None ->
       invalid_arg
         (Printf.sprintf "Provenance.record_inline: site %d not found in %s" site_id caller)
@@ -225,10 +278,10 @@ let record_inline t ~prog_before ~caller ~site_id ~callee ~cloned ~trained_count
       (* fallback 1: a sibling site in the consumed site's own block runs
          exactly as often as the consumed call did *)
       let siblings =
-        List.filter (fun sid -> sid <> site_id) (sites_in_block cf.blocks.(bi))
+        List.filter (fun sid -> sid <> site_id) (sites_in_block cf.blocks.(site_block))
       in
       if siblings <> [] then W_sites (List.sort compare siblings)
-      else if (once_blocks cf).(bi) then
+      else if runs_once cf site_block then
         (* fallback 2: the consumed block runs once per caller entry *)
         W_caller_entries caller
       else W_none

@@ -59,6 +59,7 @@ val record_inline :
   prog_before:Program.t ->
   caller:string ->
   site_id:int ->
+  site_block:Types.label ->
   callee:string ->
   cloned:(int * int) list ->
   trained_count:int ->
@@ -66,10 +67,16 @@ val record_inline :
   unit
 (** Record one inline of [site_id] (a direct call in [caller] to
     [callee]) against the program as it was {e before} the transform.
-    [cloned] lists [(new site id, callee site id)] for every call site
-    cloned into the caller; the witness is derived here (dominator-based
-    once-per-invocation analysis on the callee, then sibling sites, then
-    the caller-entries fallback).  [trained_count] and
+    [site_block] is the caller block holding the site, as
+    {!Pibe_opt.Transform.inline_call} reports it; raises
+    [Invalid_argument] ("site ... not found") when that block does not
+    hold a direct call with this id.  [cloned] lists [(new site id,
+    callee site id)] for every call site cloned into the caller; the
+    witness is derived here: clones of callee sites that run once per
+    callee invocation ({!once_blocks} on the callee), then sibling sites
+    in [site_block], then the caller-entries fallback when [site_block]
+    runs once per caller invocation ({!runs_once}, which walks the grown
+    caller instead of analysing all of it).  [trained_count] and
     [trained_caller_entries] snapshot what the training profile said
     about the consumed site and its caller, for the lift's carry-forward
     fallback. *)
@@ -87,6 +94,21 @@ val promotions : t -> (int * (int * string)) list
 (** Sorted by promoted origin. *)
 
 val promotion_count : t -> int
+
+(** {2 Once-per-invocation blocks} *)
+
+val once_blocks : Types.func -> bool array
+(** Per block: does it run exactly once per complete invocation of the
+    function?  True iff the block is reachable, some [Ret] is reachable,
+    the block dominates every reachable [Ret] and it lies on no cycle.
+    Near-linear in the function (iterative dominators, one SCC pass). *)
+
+val runs_once : Types.func -> Types.label -> bool
+(** [runs_once f bi = (once_blocks f).(bi)], answered for one block by at
+    most two graph walks that stop as soon as the answer is known: one
+    from the entry around [bi] (any [Ret] found means [bi] does not
+    dominate it), one from [bi]'s successors (reaching [bi] means it
+    repeats).  False for an out-of-range [bi]. *)
 
 (** {2 Persistence}
 

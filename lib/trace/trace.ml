@@ -23,6 +23,8 @@ let lock = Mutex.create ()
 let buf : event list ref = ref []
 let seq_counter = Atomic.make 0
 
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let emit ph ?(cat = "") ?(args = []) name =
   if Atomic.get enabled_flag then begin
     let ev =

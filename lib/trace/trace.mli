@@ -68,6 +68,12 @@ val events : unit -> event list
 
 val clear : unit -> unit
 
+val now_s : unit -> float
+(** Seconds on the monotonic clock that timestamps events, whether or
+    not collection is on.  Only differences mean anything: time
+    intervals with it, not with [Unix.gettimeofday], which jumps when
+    the system clock is stepped. *)
+
 (** {1 Emission} *)
 
 val span : ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a

@@ -341,6 +341,42 @@ let random_program seed =
          (String.concat "; " (List.map (fun e -> e.Validate.what) errs))));
   p
 
+(* [f] with its terminators redrawn over all of its labels, back edges
+   and self-loops included, so CFG analyses see the cycles, unreachable
+   blocks and Ret-less regions the generators' DAGs never have.  For
+   analyses only: the result may not terminate if run. *)
+let with_cycles rng (f : func) =
+  let n = Array.length f.blocks in
+  let label () = Rng.int rng n in
+  let cond b =
+    match Array.find_map (function Assign (d, _) -> Some (Reg d) | _ -> None) b.insts with
+    | Some r -> r
+    | None -> Imm 1
+  in
+  {
+    f with
+    blocks =
+      Array.map
+        (fun b ->
+          match Rng.int rng 4 with
+          | 0 -> b
+          | 1 -> { b with term = Jmp (label ()) }
+          | 2 -> { b with term = Br (cond b, label (), label ()) }
+          | _ ->
+            {
+              b with
+              term =
+                Switch
+                  {
+                    scrutinee = cond b;
+                    cases = [| (0, label ()); (1, label ()) |];
+                    default = label ();
+                    lowering = Branch_ladder;
+                  };
+            })
+        f.blocks;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Differential equivalence                                             *)
 (* ------------------------------------------------------------------ *)
@@ -380,5 +416,22 @@ let env () = Lazy.force quick_env
 
 let quick_info = lazy (Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = 42; scale = 1 })
 let kernel () = Lazy.force quick_info
+
+(* The paper-scale kernel (seed 42, scale 3) and its training profile:
+   the one whose lax inlining grows [syscall_entry] to about 2,000
+   blocks. *)
+let scale3_env = lazy (Pibe.Env.create ~scale:3 ())
+let env3 () = Lazy.force scale3_env
+
+(* The program [spec] leaves behind on [env]'s kernel and profile,
+   before hardening ([spec] holds no defense pass). *)
+let optimized env spec =
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  match
+    Result.bind (Pibe_pm.Spec.of_string spec) (fun spec ->
+        Pibe.Pipeline.run_spec prog (Pibe.Env.lmbench_profile env) spec)
+  with
+  | Ok r -> r.Pibe_pm.Manager.image.Pibe_harden.Pass.prog
+  | Error e -> failwith ("Helpers.optimized: " ^ e)
 
 let qcheck_to_alcotest = QCheck_alcotest.to_alcotest

@@ -83,7 +83,7 @@ let prop_inline_preserves_semantics =
       | [] -> true
       | sites ->
         let caller, site_id, _ = List.nth sites (pick mod List.length sites) in
-        let prog', _ = Transform.inline_call prog ~caller ~site_id in
+        let prog', _, _ = Transform.inline_call prog ~caller ~site_id in
         Validate.check_program prog' = [] && Helpers.equivalent prog prog')
 
 let prop_inline_removes_site_keeps_others =
@@ -93,7 +93,7 @@ let prop_inline_removes_site_keeps_others =
       match direct_sites prog with
       | [] -> true
       | (caller, site_id, _) :: _ ->
-        let prog', cloned = Transform.inline_call prog ~caller ~site_id in
+        let prog', cloned, _ = Transform.inline_call prog ~caller ~site_id in
         let f' = Program.find prog' caller in
         let still_there =
           List.exists (fun ((s : site), _) -> s.site_id = site_id) (Func.call_sites f')
@@ -376,6 +376,80 @@ let test_icp_max_targets () =
     (capped.Icp.promoted_targets < unlimited.Icp.promoted_targets);
   Alcotest.(check int) "one per site" capped.Icp.promoted_sites capped.Icp.promoted_targets
 
+(* The caller cost the inliner carries forward, its cost before plus
+   [inline_delta], is the new caller's [func_cost].  Each callee [Ret]
+   becomes a move plus a [Jmp] at a call with a destination and a bare
+   [Jmp] at one without, which cost differently, so the property covers
+   both (the destination is dropped from the chosen call on half the
+   draws) and callees with several [Ret] blocks. *)
+let carried_cost_exact prog ~caller ~site_id =
+  let before = Program.find prog caller in
+  let prog', _, site_block = Transform.inline_call prog ~caller ~site_id in
+  let after = Program.find prog' caller in
+  Inline_cost.func_cost before + Inline_cost.inline_delta ~before ~after ~site_block
+  = Inline_cost.func_cost after
+
+let drop_dst prog ~caller ~site_id =
+  let f =
+    Func.map_blocks (Program.find prog caller) ~f:(fun _ b ->
+        {
+          b with
+          insts =
+            Array.map
+              (function
+                | Call c when c.site.site_id = site_id -> Call { c with dst = None }
+                | i -> i)
+              b.insts;
+        })
+  in
+  Program.update_func prog f
+
+let prop_inline_cost_carried_forward =
+  QCheck.Test.make ~name:"carried InlineCost equals the new caller's" ~count:300
+    QCheck.(triple small_int small_int bool)
+    (fun (seed, pick, no_dst) ->
+      let prog =
+        if pick mod 2 = 0 then Helpers.random_program seed
+        else Helpers.random_chain_program seed
+      in
+      match direct_sites prog with
+      | [] -> true
+      | sites ->
+        let caller, site_id, _ = List.nth sites (pick / 2 mod List.length sites) in
+        let prog = if no_dst then drop_dst prog ~caller ~site_id else prog in
+        carried_cost_exact prog ~caller ~site_id)
+
+(* A callee with a valued and a bare [Ret], inlined at a call with and
+   without a destination. *)
+let test_inline_cost_several_rets () =
+  let prog = Program.with_globals_size Program.empty 8 in
+  let prog, site = Program.fresh_site prog in
+  let callee =
+    let b = Builder.create ~name:"g" ~params:1 in
+    let l1 = Builder.new_block b and l2 = Builder.new_block b and l3 = Builder.new_block b in
+    Builder.br b (Reg 0) l1 l2;
+    Builder.switch_to b l1;
+    Builder.ret b (Some (Imm 1));
+    Builder.switch_to b l2;
+    Builder.br b (Reg 0) l3 l3;
+    Builder.switch_to b l3;
+    Builder.ret b None;
+    Builder.finish b ()
+  in
+  let caller =
+    let b = Builder.create ~name:"f" ~params:0 in
+    let r = Builder.reg b in
+    Builder.call b ~dst:r site "g" [ Imm 3 ];
+    Builder.observe b (Reg r);
+    Builder.ret b (Some (Reg r));
+    Builder.finish b ()
+  in
+  let prog = Program.add_func (Program.add_func prog callee) caller in
+  let site_id = site.site_id in
+  Alcotest.(check bool) "with a destination" true (carried_cost_exact prog ~caller:"f" ~site_id);
+  Alcotest.(check bool) "without a destination" true
+    (carried_cost_exact (drop_dst prog ~caller:"f" ~site_id) ~caller:"f" ~site_id)
+
 let suite =
   [
     ("budget selects hottest prefix", `Quick, test_budget_selects_hottest_prefix);
@@ -388,6 +462,8 @@ let suite =
     Helpers.qcheck_to_alcotest prop_inline_preserves_semantics;
     Helpers.qcheck_to_alcotest prop_inline_removes_site_keeps_others;
     ("inline rejects bad site", `Quick, test_inline_rejects_bad_site);
+    Helpers.qcheck_to_alcotest prop_inline_cost_carried_forward;
+    ("inline cost: callee with several rets", `Quick, test_inline_cost_several_rets);
     ("find_site_in_func multi-block", `Quick, test_find_site_in_func_multi_block);
     Helpers.qcheck_to_alcotest prop_promote_preserves_semantics;
     ("promote fallback keeps origin", `Quick, test_promote_fallback_origin);

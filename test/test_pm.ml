@@ -456,6 +456,90 @@ let test_prefix_reuse_bypassed_by_check () =
   run ();
   Alcotest.(check int) "hook ran after every pass of both runs" (2 * List.length spec) !calls
 
+(* The paper's best configuration with every defense, on the quick
+   kernel (seed 42, scale 1).  Its lax inlining grows callers to hundreds
+   of blocks and its rules 2 and 3 block weight, so a drifting
+   InlineCost, a wrong once-block witness or a liveness mismatch in
+   Cleanup shows here.  The values were captured from the pipeline that
+   re-walked the caller for InlineCost and witnesses and solved liveness
+   with per-block register sets. *)
+let test_best_all_defenses_pinned () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let cfg = Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses in
+  let b = Pibe.Pipeline.build prog (Pibe.Env.lmbench_profile env) cfg in
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "spec"
+    "icp(budget=99.999),inline(budget=99.9999,lax),cleanup,retpoline,ret-retpoline,lvi-cfi"
+    (label cfg);
+  Alcotest.(check string) "image text" "e54bdad7fccbc84d6720b4b3054f7273"
+    (digest (Pibe_ir.Printer.program_to_string b.Pibe.Pipeline.image.Pass.prog));
+  Alcotest.(check string) "provenance" "6d11c4c5263c909d103dea4af22afca5"
+    (digest (Provenance.to_string b.Pibe.Pipeline.provenance));
+  let icp (s : Pibe_opt.Icp.stats) =
+    Pibe_opt.Icp.
+      [
+        s.total_weight; s.total_sites; s.total_targets; s.promoted_weight; s.promoted_sites;
+        s.promoted_targets;
+      ]
+  in
+  let inline (s : Pibe_opt.Inliner.stats) =
+    Pibe_opt.Inliner.
+      [
+        s.total_weight; s.eligible_weight; s.initial_candidates; s.initial_candidate_weight;
+        s.inlined_sites; s.inlined_weight; s.blocked_rule2_weight; s.blocked_rule3_weight;
+        s.blocked_other_weight; s.total_ret_sites_before; s.total_ret_sites_after;
+      ]
+  in
+  let cleanup (s : Pibe_opt.Cleanup.stats) =
+    Pibe_opt.Cleanup.[ s.folded; s.branches_folded; s.blocks_removed; s.dead_assigns_removed ]
+  in
+  Alcotest.(check (option (list int))) "icp stats"
+    (Some
+       (icp
+          {
+            Pibe_opt.Icp.total_weight = 12833;
+            total_sites = 20;
+            total_targets = 65;
+            promoted_weight = 12833;
+            promoted_sites = 20;
+            promoted_targets = 65;
+          }))
+    (Option.map icp b.Pibe.Pipeline.icp_stats);
+  Alcotest.(check (option (list int))) "inliner stats"
+    (Some
+       (inline
+          {
+            Pibe_opt.Inliner.total_weight = 59853;
+            eligible_weight = 95886;
+            initial_candidates = 362;
+            initial_candidate_weight = 59853;
+            inlined_sites = 342;
+            inlined_weight = 59405;
+            blocked_rule2_weight = 391;
+            blocked_rule3_weight = 43;
+            blocked_other_weight = 316;
+            total_ret_sites_before = 932;
+            total_ret_sites_after = 932;
+          }))
+    (Option.map inline b.Pibe.Pipeline.inline_stats);
+  Alcotest.(check (list (list int))) "cleanup stats"
+    [
+      cleanup
+        {
+          Pibe_opt.Cleanup.folded = 159;
+          branches_folded = 0;
+          blocks_removed = 516;
+          dead_assigns_removed = 6548;
+        };
+    ]
+    (List.filter_map
+       (fun (s : Manager.pass_stats) ->
+         match s.Manager.detail with
+         | Pibe_pm.Pass.Cleanup c -> Some (cleanup c)
+         | _ -> None)
+       b.Pibe.Pipeline.pass_stats)
+
 let suite =
   [
     Helpers.qcheck_to_alcotest prop_spec_round_trip;
@@ -473,4 +557,5 @@ let suite =
     ("prefix reuse matches cold builds", `Slow, test_prefix_reuse_matches_cold);
     ("prefix reuse is mutation-safe", `Quick, test_prefix_reuse_mutation_safety);
     ("prefix reuse bypassed by a check hook", `Quick, test_prefix_reuse_bypassed_by_check);
+    ("best config, all defenses: pinned build", `Quick, test_best_all_defenses_pinned);
   ]

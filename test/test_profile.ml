@@ -394,9 +394,14 @@ let test_provenance_copy_independent () =
     | Some x -> x
     | None -> Alcotest.fail "kernel without a direct call"
   in
+  let site_block =
+    match Pibe_opt.Transform.find_site_in_func (Program.find prog caller) site_id with
+    | Some (bi, _, _) -> bi
+    | None -> Alcotest.fail "site vanished"
+  in
   let copied = Provenance.to_string cp in
-  Provenance.record_inline pv ~prog_before:prog ~caller ~site_id ~callee ~cloned:[]
-    ~trained_count:5 ~trained_caller_entries:1;
+  Provenance.record_inline pv ~prog_before:prog ~caller ~site_id ~site_block ~callee
+    ~cloned:[] ~trained_count:5 ~trained_caller_entries:1;
   Alcotest.(check int) "original gained the instance" 4 (Provenance.inline_count pv);
   Alcotest.(check string) "copy unchanged by the original's inline" copied
     (Provenance.to_string cp)
@@ -554,6 +559,131 @@ let test_collector_entry_hook () =
   Alcotest.(check int) "two entries for f0" 2 (Profile.invocations profile "f0");
   Alcotest.(check int) "one entry for f1" 1 (Profile.invocations profile "f1")
 
+(* ------------------------------------------------------------------ *)
+(* Once-per-invocation blocks: the one-block walk vs the analysis      *)
+(* ------------------------------------------------------------------ *)
+
+let check_runs_once what (f : Types.func) =
+  let once = Provenance.once_blocks f in
+  Array.iteri
+    (fun bi flag ->
+      if Provenance.runs_once f bi <> flag then
+        Alcotest.failf "%s: @%s block %d: runs_once says %b, once_blocks %b" what f.fname bi
+          (not flag) flag)
+    once
+
+let test_runs_once_on_kernels () =
+  List.iter
+    (fun (scale, env) ->
+      let pristine = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+      List.iter
+        (fun (what, prog) ->
+          Program.iter_funcs prog (check_runs_once (Printf.sprintf "scale %d %s" scale what)))
+        [
+          ("pristine", pristine);
+          ("icp", Helpers.optimized env "icp(budget=99.999)");
+          ("lax", Helpers.optimized env "icp(budget=99.999),inline(budget=99.9999,lax)");
+          ( "cleaned",
+            Helpers.optimized env "icp(budget=99.999),inline(budget=99.9999,lax),cleanup" );
+        ])
+    [ (1, Helpers.env ()); (3, Helpers.env3 ()) ]
+
+let prop_runs_once_matches_once_blocks =
+  QCheck.Test.make ~name:"runs_once matches once_blocks" ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Pibe_util.Rng.create seed in
+      let prog = Helpers.random_chain_program seed in
+      let funcs = List.map (Program.find prog) (Program.layout_order prog) in
+      List.iter (check_runs_once "chain") funcs;
+      List.iter (fun f -> check_runs_once "cycles" (Helpers.with_cycles rng f)) funcs;
+      true)
+
+(* The shapes the generators rarely draw, each block's answer spelled
+   out as well as compared. *)
+let test_runs_once_shapes () =
+  let block term = { Types.insts = [||]; term } in
+  let func ?(entry = 0) blocks =
+    {
+      Types.fname = "shape";
+      params = 0;
+      nregs = 1;
+      entry;
+      attrs = Types.default_attrs;
+      blocks = Array.of_list blocks;
+    }
+  in
+  let check what f expected =
+    check_runs_once what f;
+    Alcotest.(check (list bool)) what expected
+      (List.init (Array.length f.Types.blocks) (Provenance.runs_once f))
+  in
+  let open Types in
+  (* 0 -> {1, 2}; 1 -> 3; 2 -> 2 | 3 (self-loop); 3 ret; 4 unreachable ret *)
+  check "diamond with a self-loop"
+    (func
+       [
+         block (Br (Reg 0, 1, 2));
+         block (Jmp 3);
+         block (Br (Reg 0, 2, 3));
+         block (Ret None);
+         block (Ret None);
+       ])
+    [ true; false; false; true; false ];
+  (* no reachable ret: nothing runs once per (complete) invocation *)
+  check "no reachable ret"
+    (func [ block (Jmp 1); block (Jmp 1); block (Ret None) ])
+    [ false; false; false ];
+  (* the entry on a cycle repeats; the exit after it does not *)
+  check "entry on a cycle"
+    (func [ block (Br (Reg 0, 1, 2)); block (Jmp 0); block (Ret None) ])
+    [ false; false; true ];
+  (* a non-zero entry, and a ret block that is itself the entry *)
+  check "entry past block 0"
+    (func ~entry:1 [ block (Ret None); block (Jmp 0) ])
+    [ true; true ];
+  check "single ret block" (func [ block (Ret (Some (Imm 1))) ]) [ true ];
+  Alcotest.(check bool) "out-of-range block" false
+    (Provenance.runs_once (func [ block (Ret None) ]) 1)
+
+(* The caller block handed to [record_inline] must hold the site: any
+   other block, in range or not, is the same "not found" as a missing
+   site. *)
+let test_record_inline_rejects_wrong_block () =
+  let prog = (Helpers.kernel ()).Pibe_kernel.Gen.prog in
+  let caller, site_id, callee, site_block, nblocks =
+    match
+      List.find_map
+        (fun name ->
+          let f = Program.find prog name in
+          let nblocks = Array.length f.Types.blocks in
+          match Func.call_sites f with
+          | ((site : Types.site), callee) :: _ when nblocks > 1 ->
+            Option.map
+              (fun (bi, _, _) -> (name, site.Types.site_id, callee, bi, nblocks))
+              (Pibe_opt.Transform.find_site_in_func f site.Types.site_id)
+          | _ -> None)
+        (Program.layout_order prog)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "kernel without a multi-block caller"
+  in
+  let expected =
+    Invalid_argument
+      (Printf.sprintf "Provenance.record_inline: site %d not found in %s" site_id caller)
+  in
+  List.iter
+    (fun bi ->
+      let pv = Provenance.create () in
+      Alcotest.check_raises (Printf.sprintf "block %d" bi) expected (fun () ->
+          Provenance.record_inline pv ~prog_before:prog ~caller ~site_id ~site_block:bi ~callee
+            ~cloned:[] ~trained_count:1 ~trained_caller_entries:1);
+      Alcotest.(check bool) "nothing recorded" true (Provenance.is_empty pv))
+    [ (site_block + 1) mod nblocks; -1; nblocks ];
+  let pv = Provenance.create () in
+  Provenance.record_inline pv ~prog_before:prog ~caller ~site_id ~site_block ~callee ~cloned:[]
+    ~trained_count:1 ~trained_caller_entries:1;
+  Alcotest.(check int) "the right block records" 1 (Provenance.inline_count pv)
+
 let suite =
   [
     ("counts accumulate", `Quick, test_counts_accumulate);
@@ -583,4 +713,8 @@ let suite =
     Helpers.qcheck_to_alcotest prop_match_to_idempotent;
     ("collector counts dropped pairs", `Quick, test_collector_counts_dropped_pairs);
     ("collector entry hook", `Quick, test_collector_entry_hook);
+    ("runs_once matches once_blocks on kernels", `Quick, test_runs_once_on_kernels);
+    Helpers.qcheck_to_alcotest prop_runs_once_matches_once_blocks;
+    ("runs_once on corner shapes", `Quick, test_runs_once_shapes);
+    ("record_inline rejects a wrong block", `Quick, test_record_inline_rejects_wrong_block);
   ]

@@ -19,7 +19,7 @@ test:
 # syscall_entry to about 2,000 blocks, a one-window
 # continuous-profiling smoke on the tiny kernel, the fleet,
 # frontier and stale/fixpoint jobs-invariance smokes, a dispatch-floor
-# microbenchmark smoke (tier table prints end to end), and the
+# microbenchmark smoke (backend table prints end to end), and the
 # cross-backend parity smoke (see `parity`).
 check:
 	dune build
@@ -42,33 +42,18 @@ check:
 # Cross-backend parity smoke: the bench-smoke workload once per
 # execution backend, outputs diffed byte-for-byte (only the wall-clock
 # footer line is stripped — everything simulated must be identical).
-# Four legs: fully tiered compiled with aggressive thresholds
-# (--tierup 4 --callfuse 2 --tier3 8, so the quick workload genuinely
-# executes superblocks, fused call seams and the register-threaded
-# tier 3), compiled with fusion disabled (--callfuse 0), compiled with
-# tier-up disabled entirely (pure baseline closures, which forces
-# callfuse/tier3 off too), and the reference interpreter — so a bug in
-# any one tier can't hide behind another tier's path.  The workload
-# includes one frontier config so the CFI/PAC cost paths are proven
-# bit-exact across engines too.
+# Two legs: the default compiled engine (lazy superblock traces) and the
+# reference interpreter.  The workload includes one frontier config so
+# the CFI/PAC cost paths are proven bit-exact across engines too.
 parity:
 	dune build bench/main.exe
 	mkdir -p $(SCRATCH)
 	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
-	  --engine compiled --tierup 4 --callfuse 2 --tier3 8 \
 	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_compiled.txt
-	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
-	  --engine compiled --callfuse 0 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_nofuse.txt
-	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
-	  --engine compiled --tierup 0 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_tier0.txt
 	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
 	  --engine interp | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_interp.txt
 	cmp $(SCRATCH)/parity_compiled.txt $(SCRATCH)/parity_interp.txt
-	cmp $(SCRATCH)/parity_nofuse.txt $(SCRATCH)/parity_interp.txt
-	cmp $(SCRATCH)/parity_tier0.txt $(SCRATCH)/parity_interp.txt
-	@echo "parity: compiled (tiered+callfuse+tier3, no-fuse, tier-0) and interp outputs are byte-identical"
+	@echo "parity: compiled and interp outputs are byte-identical"
 
 # Documentation: lint that every public module in lib/ carries a
 # top-level (** ... *) summary, then build the odoc pages.  The odoc

@@ -1,36 +1,27 @@
 (* Dispatch-floor microbenchmark: ns of host wall-clock per simulated
-   instruction, per execution tier, on two adversarial program shapes.
+   instruction, per execution backend, on two adversarial program
+   shapes.
 
      bench/dispatch_bench.exe            full run (default rounds)
      bench/dispatch_bench.exe --quick    smoke settings (make check)
-     bench/dispatch_bench.exe --check    exit 1 unless tier-3 beats
-                                         tier-2 on the loop-dominated
-                                         program (used when generating
-                                         BENCH_PR10.json evidence)
 
    Programs:
      call-dominated  a tight loop whose body is one direct call to a
                      6-instruction straight-line leaf — per-iteration
-                     work is dominated by the call/return seam, the
-                     shape --callfuse exists for.
+                     work is dominated by the call/return seam.
      loop-dominated  a loop over a 64-instruction Jmp-chained superblock
-                     — per-iteration work is pure straight-line dispatch,
-                     the shape tier 3's register-threaded stream targets.
+                     — per-iteration work is pure straight-line dispatch.
 
-   Tier configs (all bit-exact; thresholds forced low so a short warmup
-   promotes everything):
+   Backends (bit-exact against each other):
      interp      reference interpreter
-     tier1       compiled, --tierup 0 (per-block closures)
-     tier2       compiled, --tierup 1 --callfuse 0 --tier3 0
-     callfused   compiled, --tierup 1 --callfuse 1 --tier3 0
-     tier3       compiled, --tierup 1 --callfuse 1 --tier3 1
+     compiled    closure-threaded superblock traces
 
-   Each tier gets one engine, warmed past every threshold up front;
-   then the timed batches are INTERLEAVED across tiers (round 1 of every
-   tier, then round 2, ...) so host-speed drift hits all tiers alike —
-   the same rationale as tools/bench_compare.sh — and each tier reports
-   the best of its [rounds] batches, which suppresses scheduling
-   noise. *)
+   Each backend gets one engine, warmed up front so every trace the loop
+   reaches is already lowered; then the timed batches are INTERLEAVED
+   across backends (round 1 of each, then round 2, ...) so host-speed
+   drift hits both alike — the same rationale as tools/bench_compare.sh
+   — and each backend reports the best of its [rounds] batches, which
+   suppresses scheduling noise. *)
 
 open Pibe_ir
 open Types
@@ -38,8 +29,7 @@ open Types
 let iters_per_call = 256
 
 (* main(n): acc = 0; for i < n: acc = leaf(i, acc); ret acc.  leaf is a
-   straight-line 5-binop body — CAssign-only, single Ret block, well
-   under the fusion size bound. *)
+   straight-line 5-binop body — CAssign-only, single Ret block. *)
 let call_dominated () =
   let prog = ref (Program.with_globals_size Program.empty 16) in
   let leaf =
@@ -120,29 +110,11 @@ let loop_dominated () =
   Builder.finish b ()
     |> Program.add_func (Program.with_globals_size Program.empty 16)
 
-type tier_cfg = {
-  label : string;
-  backend : Pibe_cpu.Engine.backend;
-  tierup : int;
-  callfuse : int;
-  tier3 : int;
-}
+let backends = [ Pibe_cpu.Engine.Interp; Pibe_cpu.Engine.Compiled ]
 
-let tiers =
-  [
-    { label = "interp"; backend = Pibe_cpu.Engine.Interp; tierup = 0; callfuse = 0; tier3 = 0 };
-    { label = "tier1"; backend = Pibe_cpu.Engine.Compiled; tierup = 0; callfuse = 0; tier3 = 0 };
-    { label = "tier2"; backend = Pibe_cpu.Engine.Compiled; tierup = 1; callfuse = 0; tier3 = 0 };
-    { label = "callfused"; backend = Pibe_cpu.Engine.Compiled; tierup = 1; callfuse = 1; tier3 = 0 };
-    { label = "tier3"; backend = Pibe_cpu.Engine.Compiled; tierup = 1; callfuse = 1; tier3 = 1 };
-  ]
-
-(* One engine per tier, warmed past every promotion threshold. *)
-let warm_engine prog ~entry ~warmup cfg =
-  let e =
-    Pibe_cpu.Engine.create ~backend:cfg.backend ~tierup:cfg.tierup ~callfuse:cfg.callfuse
-      ~tier3:cfg.tier3 prog
-  in
+(* One warm engine per backend. *)
+let warm_engine prog ~entry ~warmup backend =
+  let e = Pibe_cpu.Engine.create ~backend prog in
   for _ = 1 to warmup do
     ignore (Pibe_cpu.Engine.call e entry [ iters_per_call ])
   done;
@@ -160,10 +132,10 @@ let time_batch e ~entry ~runs =
   let di = (Pibe_cpu.Engine.counters e).Pibe_cpu.Engine.insts - insts0 in
   dt *. 1e9 /. float_of_int di
 
-(* Measure every tier on one program with the batches interleaved:
-   round-robin over the tier engines so host drift is shared. *)
+(* Measure every backend on one program with the batches interleaved:
+   round-robin over the engines so host drift is shared. *)
 let measure_row prog ~entry ~warmup ~runs ~rounds =
-  let engines = List.map (fun cfg -> warm_engine prog ~entry ~warmup cfg) tiers in
+  let engines = List.map (warm_engine prog ~entry ~warmup) backends in
   let best = Array.make (List.length engines) infinity in
   for _ = 1 to rounds do
     List.iteri
@@ -176,27 +148,32 @@ let measure_row prog ~entry ~warmup ~runs ~rounds =
 
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let check = Array.exists (( = ) "--check") Sys.argv in
-  (* --prof TIER PROGRAM: hammer one tier on one program for a few
+  (* --prof BACKEND PROGRAM: hammer one backend on one program for a few
      seconds and exit — a steady-state target for a sampling profiler
      (the interleaved measurement loop spreads samples too thin). *)
   (match Array.to_list Sys.argv with
-  | _ :: "--prof" :: tier_label :: prog_name :: _ ->
-    let cfg = List.find (fun c -> c.label = tier_label) tiers in
+  | _ :: "--prof" :: backend_name :: prog_name :: _ ->
+    let backend =
+      match Pibe_cpu.Engine.backend_of_string backend_name with
+      | Some b -> b
+      | None ->
+        Printf.eprintf "--prof expects 'interp' or 'compiled', got %s\n" backend_name;
+        exit 2
+    in
     let prog, entry =
       if prog_name = "call-dominated" then (call_dominated (), "main")
       else (loop_dominated (), "hot")
     in
-    let e = ref (warm_engine prog ~entry ~warmup:16 cfg) in
+    let e = ref (warm_engine prog ~entry ~warmup:16 backend) in
     let ns = ref 0.0 in
     for _ = 1 to 100 do
       (* a fresh warm engine per batch keeps the run under the fuel cap *)
       match time_batch !e ~entry ~runs:1000 with
       | v -> ns := v
       | exception Pibe_cpu.Machine.Out_of_fuel ->
-        e := warm_engine prog ~entry ~warmup:16 cfg
+        e := warm_engine prog ~entry ~warmup:16 backend
     done;
-    Printf.printf "prof %s %s: %.2f ns/inst (last batch)\n" tier_label prog_name !ns;
+    Printf.printf "prof %s %s: %.2f ns/inst (last batch)\n" backend_name prog_name !ns;
     exit 0
   | _ -> ());
   let warmup = if quick then 4 else 16 in
@@ -209,25 +186,14 @@ let () =
   Printf.printf "(%d sim-insts/call batches; best of %d rounds x %d calls)\n\n" iters_per_call
     rounds runs;
   Printf.printf "%-16s" "program";
-  List.iter (fun c -> Printf.printf "  %9s" c.label) tiers;
+  List.iter
+    (fun b -> Printf.printf "  %9s" (Pibe_cpu.Engine.backend_to_string b))
+    backends;
   print_newline ();
-  let results =
-    List.map
-      (fun (name, prog, entry) ->
-        let row = measure_row prog ~entry ~warmup ~runs ~rounds in
-        Printf.printf "%-16s" name;
-        List.iter (fun ns -> Printf.printf "  %9.2f" ns) row;
-        print_newline ();
-        (name, row))
-      programs
-  in
-  if check then begin
-    (* tiers = [interp; tier1; tier2; callfused; tier3] *)
-    let loop_row = List.assoc "loop-dominated" results in
-    let t2 = List.nth loop_row 2 and t3 = List.nth loop_row 4 in
-    if t3 < t2 then Printf.printf "\ncheck: tier3 %.2f < tier2 %.2f ns/inst (ok)\n" t3 t2
-    else begin
-      Printf.printf "\ncheck FAILED: tier3 %.2f >= tier2 %.2f ns/inst\n" t3 t2;
-      exit 1
-    end
-  end
+  List.iter
+    (fun (name, prog, entry) ->
+      let row = measure_row prog ~entry ~warmup ~runs ~rounds in
+      Printf.printf "%-16s" name;
+      List.iter (fun ns -> Printf.printf "  %9.2f" ns) row;
+      print_newline ())
+    programs

@@ -19,23 +19,6 @@
      bench/main.exe --engine NAME   execution backend: compiled (default)
                                     or interp; bit-exact, so output is
                                     identical either way
-     bench/main.exe --tierup N      tier-up threshold for the compiled
-                                    backend (entries of a function beyond
-                                    N run the superblock-fused tier;
-                                    0 disables tier-up; default from
-                                    PIBE_TIERUP, else 2); bit-exact
-                                    at every setting
-     bench/main.exe --callfuse N    call-seam fusion threshold for the
-                                    tiered backend (a direct call fuses
-                                    across the call/return pair once its
-                                    leaf callee's entry count exceeds N;
-                                    0 disables fusion; default from
-                                    PIBE_CALLFUSE, else 2); bit-exact
-     bench/main.exe --tier3 N       tier-3 threshold for the tiered
-                                    backend (entries of a function beyond
-                                    N run the register-threaded int-coded
-                                    tier; 0 disables tier 3; default from
-                                    PIBE_TIER3, else 64); bit-exact
      bench/main.exe --time N        timing mode: after one warm run per
                                     selected experiment, re-run it N times
                                     and print one "time <id> <i> <secs>"
@@ -89,36 +72,6 @@ let parse_args () =
       go rest
     | [ "--engine" ] ->
       Printf.eprintf "--engine expects a backend name\n";
-      exit 2
-    | "--tierup" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some t when t >= 0 -> Pibe_cpu.Engine.set_default_tierup t
-      | _ ->
-        Printf.eprintf "--tierup expects a non-negative integer, got %s\n" n;
-        exit 2);
-      go rest
-    | [ "--tierup" ] ->
-      Printf.eprintf "--tierup expects a threshold\n";
-      exit 2
-    | "--callfuse" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some t when t >= 0 -> Pibe_cpu.Engine.set_default_callfuse t
-      | _ ->
-        Printf.eprintf "--callfuse expects a non-negative integer, got %s\n" n;
-        exit 2);
-      go rest
-    | [ "--callfuse" ] ->
-      Printf.eprintf "--callfuse expects a threshold\n";
-      exit 2
-    | "--tier3" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some t when t >= 0 -> Pibe_cpu.Engine.set_default_tier3 t
-      | _ ->
-        Printf.eprintf "--tier3 expects a non-negative integer, got %s\n" n;
-        exit 2);
-      go rest
-    | [ "--tier3" ] ->
-      Printf.eprintf "--tier3 expects a threshold\n";
       exit 2
     | "--time" :: n :: rest ->
       (match int_of_string_opt n with

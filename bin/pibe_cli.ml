@@ -72,55 +72,6 @@ let with_engine name k =
     Printf.eprintf "unknown engine %S (expected 'compiled' or 'interp')\n" name;
     1
 
-let tiers_arg =
-  let tierup =
-    let doc =
-      "Tier-up threshold for the compiled backend: a function's entry count \
-       must exceed $(docv) before it runs in the superblock-fused tier \
-       (0 disables tier-up entirely, which also forces --callfuse and \
-       --tier3 to 0; default from PIBE_TIERUP, else 2).  Every setting is \
-       bit-exact, so this only changes wall-clock speed."
-    in
-    Arg.(value & opt (some int) None & info [ "tierup" ] ~docv:"N" ~doc)
-  in
-  let callfuse =
-    let doc =
-      "Call-seam fusion threshold for the tiered compiled backend: a direct \
-       call site fuses across the call/return pair into its straight-line \
-       leaf callee once the callee's entry count exceeds $(docv) \
-       (0 disables fusion; default from PIBE_CALLFUSE, else 2).  \
-       Bit-exact like --tierup."
-    in
-    Arg.(value & opt (some int) None & info [ "callfuse" ] ~docv:"N" ~doc)
-  in
-  let tier3 =
-    let doc =
-      "Tier-3 threshold for the tiered compiled backend: a function's entry \
-       count must exceed $(docv) before its speculation-off traces run in \
-       the register-threaded int-coded tier (0 disables tier 3; default \
-       from PIBE_TIER3, else 64).  Bit-exact like --tierup."
-    in
-    Arg.(value & opt (some int) None & info [ "tier3" ] ~docv:"N" ~doc)
-  in
-  Term.(const (fun t cf t3 -> (t, cf, t3)) $ tierup $ callfuse $ tier3)
-
-(* Resolve --tierup/--callfuse/--tier3 into the process-wide defaults,
-   like --engine. *)
-let with_tiers (t, cf, t3) k =
-  let set flag setter v k =
-    match v with
-    | None -> k ()
-    | Some n when n >= 0 ->
-      setter n;
-      k ()
-    | Some n ->
-      Printf.eprintf "--%s expects a non-negative threshold, got %d\n" flag n;
-      1
-  in
-  set "tierup" Pibe_cpu.Engine.set_default_tierup t @@ fun () ->
-  set "callfuse" Pibe_cpu.Engine.set_default_callfuse cf @@ fun () ->
-  set "tier3" Pibe_cpu.Engine.set_default_tier3 t3 k
-
 let trace_arg =
   let doc =
     "Collect a structured trace (spans, counters, gauges) of the run and \
@@ -237,9 +188,8 @@ let pipeline_spec ~seed ~scale ~verify text =
       print_image_summary result.Pibe_pm.Manager.image;
       0)
 
-let pipeline seed scale defenses budget passes verify engine tiers trace trace_format =
+let pipeline seed scale defenses budget passes verify engine trace trace_format =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   with_trace trace trace_format @@ fun () ->
   match passes with
   | Some text -> pipeline_spec ~seed ~scale ~verify text
@@ -276,9 +226,8 @@ let pipeline seed scale defenses budget passes verify engine tiers trace trace_f
     Printf.printf "lmbench geomean overhead vs LTO: %+.1f%%\n" geo;
     0)
 
-let experiment name seed scale quick jobs engine tiers trace trace_format =
+let experiment name seed scale quick jobs engine trace trace_format =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   with_trace trace trace_format @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
@@ -302,9 +251,8 @@ let experiment name seed scale quick jobs engine tiers trace trace_format =
       List.iter Pibe_util.Tbl.print (e.Pibe.Experiments.run env);
       0
 
-let attack seed scale defenses engine tiers =
+let attack seed scale defenses engine =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   match parse_defenses defenses with
   | Error e ->
     prerr_endline e;
@@ -396,9 +344,8 @@ let optimize_cmd_impl seed scale defenses budget profile_path out =
       (Pibe_harden.Pass.image_bytes built.Pibe.Pipeline.image);
     0
 
-let perf seed scale defenses budget op_name topn engine tiers =
+let perf seed scale defenses budget op_name topn engine =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   match parse_defenses defenses with
   | Error e ->
     prerr_endline e;
@@ -435,9 +382,8 @@ let perf seed scale defenses budget op_name topn engine tiers =
       };
     0
 
-let trace seed scale syscall a0 a1 engine tiers =
+let trace seed scale syscall a0 a1 engine =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   let info = gen ~seed ~scale in
   let depth = ref 0 in
   let config =
@@ -478,9 +424,8 @@ let dump_ir seed scale func =
 (* Simulate the continuous-profiling deployment loop: phased workload,
    drift detection, adaptive re-optimization with patch downtime. *)
 let online seed scale quick jobs windows requests window decay threshold hysteresis
-    max_reopts engine tiers trace trace_format =
+    max_reopts engine trace trace_format =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   with_trace trace trace_format @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
@@ -523,9 +468,8 @@ let online seed scale quick jobs windows requests window decay threshold hystere
 (* Simulate the fleet deployment: N instances with heterogeneous drifting
    mixes, sharded profile aggregation, staged canary rollout. *)
 let fleet seed scale quick jobs instances windows requests window decay threshold
-    hysteresis max_reopts canary tolerance engine tiers trace trace_format =
+    hysteresis max_reopts canary tolerance engine trace trace_format =
   with_engine engine @@ fun () ->
-  with_tiers tiers @@ fun () ->
   with_trace trace trace_format @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
@@ -588,7 +532,7 @@ let pipeline_cmd =
     (Cmd.info "pipeline" ~doc:"Run the full profile/optimize/harden pipeline")
     Term.(
       const pipeline $ seed_arg $ scale_arg $ defenses_arg $ budget_arg $ passes_arg
-      $ verify_arg $ engine_arg $ tiers_arg $ trace_arg $ trace_format_arg)
+      $ verify_arg $ engine_arg $ trace_arg $ trace_format_arg)
 
 let experiment_cmd =
   let id_arg =
@@ -611,12 +555,12 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate one paper table/figure")
     Term.(
       const experiment $ id_arg $ seed_arg $ scale_arg $ quick_arg $ jobs_arg
-      $ engine_arg $ tiers_arg $ trace_arg $ trace_format_arg)
+      $ engine_arg $ trace_arg $ trace_format_arg)
 
 let attack_cmd =
   Cmd.v
     (Cmd.info "attack" ~doc:"Run the transient-attack drills against an image")
-    Term.(const attack $ seed_arg $ scale_arg $ defenses_arg $ engine_arg $ tiers_arg)
+    Term.(const attack $ seed_arg $ scale_arg $ defenses_arg $ engine_arg)
 
 let trace_cmd =
   let syscall =
@@ -627,7 +571,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Print the call tree of one syscall")
     Term.(
-      const trace $ seed_arg $ scale_arg $ syscall $ a0 $ a1 $ engine_arg $ tiers_arg)
+      const trace $ seed_arg $ scale_arg $ syscall $ a0 $ a1 $ engine_arg)
 
 let perf_cmd =
   let op =
@@ -640,7 +584,7 @@ let perf_cmd =
     (Cmd.info "perf" ~doc:"Flat cycle profile of one workload, before/after PIBE")
     Term.(
       const perf $ seed_arg $ scale_arg $ defenses_arg $ budget_arg $ op $ topn
-      $ engine_arg $ tiers_arg)
+      $ engine_arg)
 
 let report_cmd =
   let out =
@@ -748,7 +692,7 @@ let online_cmd =
     Term.(
       const online $ seed_arg $ scale_arg $ quick_arg $ jobs_arg $ windows_arg
       $ requests_arg $ window_arg $ decay_arg $ threshold_arg $ hysteresis_arg
-      $ max_reopts_arg $ engine_arg $ tiers_arg $ trace_arg $ trace_format_arg)
+      $ max_reopts_arg $ engine_arg $ trace_arg $ trace_format_arg)
 
 let fleet_cmd =
   let d = Pibe_online.Fleet.default_config in
@@ -846,7 +790,7 @@ let fleet_cmd =
       const fleet $ seed_arg $ scale_arg $ quick_arg $ jobs_arg $ instances_arg
       $ windows_arg $ requests_arg $ window_arg $ decay_arg $ threshold_arg
       $ hysteresis_arg $ max_reopts_arg $ canary_arg $ tolerance_arg $ engine_arg
-      $ tiers_arg $ trace_arg $ trace_format_arg)
+      $ trace_arg $ trace_format_arg)
 
 let passes_cmd =
   Cmd.v

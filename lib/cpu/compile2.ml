@@ -1,5 +1,4 @@
-(** Closure-threaded compiled execution backend with a profile-guided
-    fused tier.
+(** Closure-threaded compiled execution backend: lazy superblock traces.
 
     Lowers every {!Machine.cinst}, expression and terminator into a
     pre-specialized OCaml closure once per program, so the hot loop runs
@@ -11,97 +10,51 @@
     indirect-call protection slots are all baked at closure-construction
     time.
 
-    Straight-line runs of simple instructions (assign / store / observe,
-    including statically bounds-checked loads) are fused into {e
-    segments} with batched accounting: one fuel check, one
-    step/instruction/cycle bump per segment instead of one per
-    instruction.  Exactness is preserved on every path — each
-    potentially-faulting instruction carries baked rollback deltas
-    (cycles, steps and instruction counts kept separate, because fused
-    jump seams step without retiring an instruction) that rewind the
-    not-yet-earned remainder of the batch before raising, and a segment
-    that could exhaust its fuel budget falls back to a per-item slow path
-    that dies at exactly the interpreter's instruction — so cycles,
-    counters and errors stay bit-exact even mid-segment (pinned by the
-    out-of-fuel and wild-icall differential tests in
-    [test/test_backend.ml]).
+    {2 Superblock traces}
 
-    {2 Tiers}
+    The unit of lowering is a {e superblock trace}: the chain of blocks a
+    label reaches by following unconditional [Jmp] edges (see
+    [trace_of]), lowered as ONE closure.  Its instruction streams are
+    flattened into one item stream in which each seam — a non-final
+    block's [Jmp] — is a zero-body [SJump] item, and maximal runs of
+    simple instructions (assign / store / observe, including statically
+    bounds-checked loads) are fused into {e segments} with batched
+    accounting: one fuel check and one pre-summed step/instruction/cycle
+    bump per segment instead of one per instruction, so a hot K-block
+    chain pays one fuel check and no per-block closure dispatch at all.
+    Branch predictor, RSB, i-cache and PHT state are only materialized at
+    conditional branches, indirect transfers and call boundaries —
+    exactly where the interpreter touches them.
 
-    Three lowering tiers share the closure machinery:
+    Exactness is preserved on every path — each potentially-faulting
+    instruction carries baked rollback deltas (cycles, steps and
+    instruction counts kept separate, because seams step without retiring
+    an instruction) that rewind the not-yet-earned remainder of the batch
+    before raising, and a segment that could exhaust its fuel budget
+    falls back to a per-item slow path that dies at exactly the
+    interpreter's instruction — so cycles, counters and errors stay
+    bit-exact even mid-segment (pinned by the out-of-fuel and fault
+    differential tests in [test/test_backend.ml]).
 
-    - {e Tier 1} (baseline) lowers one closure per basic block, segments
-      fused within the block — the only tier of the PR5 backend, and the
-      authoritative cheap tier.
-    - {e Tier 2} (fused) additionally performs {e superblock fusion}: a
-      maximal chain of blocks linked by unconditional [Jmp] fallthrough
-      edges into single-predecessor blocks is lowered as ONE closure, its
-      segments fused {e across} the seams with one pre-summed cycle/step
-      constant per segment.  A seam contributes a zero-body [SJump] item
-      (the seam's fuel step and jump cost are folded into the batch
-      header), so a hot K-block chain pays one fuel check and no
-      per-block closure dispatch at all.  Branch predictor, RSB, i-cache
-      and PHT state are only materialized at conditional branches,
-      indirect transfers and call boundaries — exactly where the
-      interpreter touches them.
-    - {e Tier 3} (register-threaded) relowers the plain variant of the
-      very hottest traces one more time: instead of one closure per
-      instruction, the whole trace becomes a flat int-coded instruction
-      stream driven by a single tail-recursive dispatch loop over the
-      unboxed register array — no closure call per instruction at all.
-      Operands, costs and rollback deltas are encoded inline in the
-      stream; segment batch headers become one [BATCH] word whose fuel
-      guard falls back to the tier-2 per-item slow path; instructions the
-      encoder cannot express (statically out-of-bounds accesses) keep
-      their tier-1 closure behind a [PB] escape, and calls/icalls keep
-      their chunk closures behind [CX] — so coverage is total and
-      semantics are shared, not duplicated.  Tier 3 exists only for the
-      speculation-off variant: drill configurations are short-lived, and
-      keeping taint threading out of the loop is what keeps its dispatch
-      flat.
+    {2 Lazy linking}
 
-    {2 Call-seam fusion}
+    Lowering is lazy at two levels.  A function's body is linked on the
+    first call that reaches it: its [fexec_plain]/[fexec_spec] field
+    starts as a trampoline that lowers under [link_lock] (double-checked)
+    and publishes the linked entry in its own place, so the post-link
+    call path has no dispatcher at all.  Inside a linked function every
+    label is again a trampoline that lowers the trace headed there on its
+    first dispatch, so only the heads a workload actually reaches ever
+    pay for closure construction and for their copy of a duplicated
+    tail.  Lowering is pure and emits nothing observable (its trace
+    events are "sched"-category), so which engine triggers it, and when,
+    is invisible in cycles, counters, traces or errors.
 
-    Orthogonally to the tiers, any lowering may fuse a {e direct call
-    into a hot leaf callee} across the call/return pair ([--callfuse N] /
-    [PIBE_CALLFUSE]; [0] disables).  A statically eligible callee — valid,
-    all blocks simple instructions linked by [Jmp] and ending in [Ret],
-    bounded body size, so in particular no recursion and no indirect
-    control flow — is lowered as one closure at the call site: one fuel
-    guard and one batched step/instruction/cycle update spanning the call
-    instruction, the whole callee body and the return step, with the
-    matched RSB push/pop, i-cache touch, frame setup and
-    [do_ret] performed once at the seam.  Sites are specialized {e by
-    (caller, callee) pair} and selected by profile: a seam lowered before
-    its callee is hot installs a self-promoting chunk that watches the
-    dispatching engine's per-function entry counter
-    ({!Machine.t.tier_counts}) and swaps in the fused closure once the
-    callee crosses the callfuse threshold; a seam lowered after simply
-    bakes the fused closure directly.  Fuel exhaustion inside the fused
-    span is guarded up front (the unfused path replays it exactly), and a
-    faulting instruction in the callee body rewinds the unearned batch
-    remainder — identical machinery to segment batching.
-
-    Tier-up is profile-guided ({e PGO applied to our own engine}): a
-    tiered program routes every function entry through a counting
-    dispatcher that bumps a {e per-engine} counter
-    ({!Machine.t.tier_counts}) and switches to the fused body once the
-    count crosses the engine's {!Machine.t.tier_threshold}.  Counters are
-    per-engine so tier-up decisions are a deterministic function of each
-    engine's own workload at any [--jobs]; the fused closures themselves
-    are lowered lazily in the shared program (double-checked under
-    [link_lock], same as tier 1), so a working set of engines pays each
-    function's fused lowering once.  Both tiers are bit-exact against
-    the interpreter, so {e when} a function tiers up is unobservable in
-    cycles, counters, traces or errors — the baseline tier stays
-    authoritative.
-
-    Each block is compiled (per tier) twice — a plain variant for the
+    Each function is lowered in two variants — a plain variant for the
     common speculation-off configuration and a spec variant threading the
     taint file — and call closures jump straight to the matching variant
     of their callee, so the choice is made once per top-level entry, not
-    per instruction.  All four variants are lowered lazily, per function,
-    on the first call (or first post-threshold call) that reaches them.
+    per instruction.
 
     Everything whose semantics is shared with the reference interpreter
     (indirect-branch transfer, return path, frame pools, step/fuel
@@ -164,66 +117,22 @@ type cfunc2 = {
          the only slots of a pooled frame whose initial 0 / [None] is
          observable — see [zeroset_of] *)
   mutable fexec_plain : fexec;
-      (* what call closures invoke: in a baseline program, the linked
-         tier-1 body (trampoline until first call); in a tiered program,
-         the permanent counting dispatcher *)
+      (* what call closures invoke: a lazy-linking trampoline until the
+         first call, then the linked trace-lowered body *)
   mutable fexec_spec : fexec;
-  (* per-tier bodies behind the dispatcher of a tiered program; each
-     starts as a lazy-linking trampoline (written only under
-     [prog.link_lock], like the [linked] flags) *)
-  mutable t1_plain : fexec;
-  mutable t1_spec : fexec;
-  mutable t2_plain : fexec;
-  mutable t2_spec : fexec;
-  mutable t3_plain : fexec;
-      (* register-threaded tier; plain variant only — the spec variant
-         caps at tier 2 (see the header comment) *)
-  mutable t1_plain_linked : bool;
-  mutable t1_spec_linked : bool;
-  mutable t2_plain_linked : bool;
-  mutable t2_spec_linked : bool;
-  mutable t3_plain_linked : bool;
-}
-
-(* Program-wide lowering statistics.  Lowering is lazy and triggered by
-   whichever engine gets there first, so these are scheduling-dependent —
-   they are reported only under the "sched" trace category and the
-   [prog_stats] accessor, never mixed into deterministic counters. *)
-type pstats = {
-  fused_seams : int Atomic.t;  (* call seams lowered to fused closures *)
-  fused_promoted : int Atomic.t;  (* of those, promoted at runtime by heat *)
-  t3_traces : int Atomic.t;  (* traces lowered to int-coded streams *)
-  t3_coded : int Atomic.t;  (* simple insts encoded directly in streams *)
-  t3_insts : int Atomic.t;  (* simple insts in tier-3 traces, total *)
+  mutable plain_linked : bool;
+  mutable spec_linked : bool;
+      (* written only under [prog.link_lock], like the published
+         [fexec_*] fields *)
 }
 
 type prog = {
   c2by_id : cfunc2 array;
   mem_len : int;  (* length of every engine's global memory, for baked bounds *)
   link_lock : Mutex.t;  (* serializes per-function lazy lowering *)
-  tiered : bool;
-      (* whether [fexec_*] is the counting dispatcher (tiered) or the
-         tier-1 body itself (baseline) *)
-  callfuse : int;
-      (* call-seam fusion threshold baked into this program's lowering
-         (part of the compile-cache key); 0 disables fusion entirely *)
-  pstats : pstats;
 }
 
-let prog_stats (p : prog) : (string * int) list =
-  [
-    ("call-fused-seams", Atomic.get p.pstats.fused_seams);
-    ("callfuse-promotions", Atomic.get p.pstats.fused_promoted);
-    ("tier3-traces", Atomic.get p.pstats.t3_traces);
-    ("tier3-coded-insts", Atomic.get p.pstats.t3_coded);
-    ("tier3-total-insts", Atomic.get p.pstats.t3_insts);
-  ]
-
 let unlinked : fexec = fun _ -> assert false
-
-(* Shared empty taint file threaded through the plain variant; never read
-   or written there. *)
-let no_taint : int option array = [||]
 
 (* --------------------- entry-live zero sets -------------------- *)
 
@@ -422,7 +331,7 @@ let func_valid (cf : cfunc) : bool =
 (* ---------------------- fused segments ------------------------- *)
 
 (* A segment batches the accounting of a run of [k] items — simple
-   instructions plus, in the fused tier, [SJump] seam markers standing
+   instructions plus [SJump] seam markers standing
    for an unconditional fallthrough (the predecessor block's terminator
    fuel step and jump cost): the header bumps steps by [k], retired
    instructions by the number of real instructions, and cycles by the
@@ -439,8 +348,8 @@ type sitem =
       (* a fused unconditional fallthrough seam: one fuel step plus
          [Cost.jmp], batched mid-segment *)
 
-(* Link-time lowering statistics, reported as trace counters when the
-   fused tier of a function is linked. *)
+(* Lowering statistics of one function variant, gathered only while
+   tracing and reported as "sched" trace counters (see [lower_traced]). *)
 type fuse_stats = {
   mutable sb_count : int;  (* >=2-block chains lowered as one superblock *)
   mutable sb_blocks : int;  (* blocks covered by those superblocks *)
@@ -469,12 +378,11 @@ let sitem_cost = function
   | SInst i -> inst_cost i
   | SJump -> Cost.jmp
 
-(* Batch accounting of an item run, shared by segment compilation and
-   the tier-3 encoder: per-item static costs, their sum, the retired
-   instruction count, and per-position suffix deltas — cycles, steps and
-   retired instructions strictly after position [j], i.e. what a fault at
-   [j] must rewind from the pre-charged batch (kept separate because
-   seams step without retiring). *)
+(* Batch accounting of an item run: per-item static costs, their sum,
+   the retired instruction count, and per-position suffix deltas —
+   cycles, steps and retired instructions strictly after position [j],
+   i.e. what a fault at [j] must rewind from the pre-charged batch (kept
+   separate because seams step without retiring). *)
 let seg_suffixes (items : sitem array) =
   let k = Array.length items in
   let costs = Array.map sitem_cost items in
@@ -1126,8 +1034,7 @@ let ccomplex ~spec c2by_id (caller : cfunc) (i : Machine.cinst) : iexec =
    segments and individual complex (call) instructions: each non-final
    block contributes an [SJump] seam item for its unconditional
    terminator, and only the FINAL block's terminator survives (returned
-   alongside its label).  Shared by the closure lowerings (tier 1/2),
-   the tier-3 encoder and call-seam body flattening. *)
+   alongside its label). *)
 let scan_chain (chain : (int * Machine.cblock) list) :
     [ `Seg of sitem array | `Cx of Machine.cinst ] list * int * terminator =
   let rev_chunks = ref [] and pending = ref [] in
@@ -1163,315 +1070,6 @@ let scan_chain (chain : (int * Machine.cblock) list) :
   in
   let last_label, last_term = go chain in
   (List.rev !rev_chunks, last_label, last_term)
-
-(* ---------------------- call-seam fusion ----------------------- *)
-
-(* Upper bound on the instruction count of a fusable callee body: keeps
-   the batched span (and the fuel-guard conservatism it implies) small,
-   and bounds the per-site closure volume of (caller, callee)
-   specialization. *)
-let fuse_max_body = 48
-
-(* A callee eligible for call-seam fusion: a valid, straight-line leaf —
-   every block on the entry chain holds only simple instructions, blocks
-   are linked by [Jmp] without revisits, the chain ends in [Ret], and
-   the total body is bounded.  A recursive callee necessarily contains a
-   call instruction, so it can never qualify; neither can anything with
-   conditional or indirect control flow. *)
-let fuse_plan (callee2 : cfunc2) : (int * Machine.cblock) list option =
-  let cf = callee2.c2 in
-  if not (func_valid cf) then None
-  else begin
-    let rec go acc seen l size =
-      let b = cf.cblocks.(l) in
-      let simple =
-        Array.for_all
-          (fun i ->
-            match i with
-            | CAssign _ | CStore _ | CObserve _ -> true
-            | CCall _ | CIcall _ | CAsm_icall _ -> false)
-          b.cinsts
-      in
-      let size = size + Array.length b.cinsts in
-      if (not simple) || size > fuse_max_body then None
-      else
-        match b.cterm with
-        | Ret _ -> Some (List.rev ((l, b) :: acc))
-        | Jmp s when not (List.mem s seen) -> go ((l, b) :: acc) (s :: seen) s size
-        | _ -> None
-    in
-    go [] [ cf.f.entry ] cf.f.entry 0
-  end
-
-(* Lower one (caller, callee) pair into a single fused closure spanning
-   call + body + return: one fuel guard and one batched
-   step/instruction/cycle update for the whole span, then the machine
-   effects in exactly the interpreter's order — edge event, i-cache
-   touch, RSB push, frame setup, entry-live zeroing, the callee's
-   per-engine entry-counter bump (mirroring the tiered dispatcher the
-   unfused path goes through), [enter_frame], the body items, the return
-   value read, [do_ret] (which pops the RSB and charges the backward
-   path), result write-back.  The batch pre-charges the call step, every
-   body item and the return's fuel step; a faulting body item rewinds
-   its unearned remainder (the body deltas count the return step as
-   still-unearned), and a span that could exhaust fuel falls back to
-   [slow] — the ordinary unfused call closure, which dies at exactly the
-   interpreter's instruction. *)
-let build_fused ~spec (p : prog) (caller : cfunc) ~dst ~callee_id ~site
-    ~(args : operand array) ~(slow : iexec) (chain : (int * Machine.cblock) list) :
-    iexec =
-  let caller_id = caller.id and caller_name = caller.f.fname in
-  let callee2 = p.c2by_id.(callee_id) in
-  let callee_cf = callee2.c2 in
-  let callee_name = callee_cf.f.fname in
-  let mem_len = p.mem_len in
-  let items =
-    match scan_chain chain with
-    | [], _, _ -> [||]
-    | [ `Seg items ], _, _ -> items
-    | _ -> assert false (* fuse_plan admits simple instructions only *)
-  in
-  let _costs, body_total, nbody_insts, dcs, dnss0, dnis = seg_suffixes items in
-  let nb = Array.length items in
-  (* call step + body items (insts and seams) + return step *)
-  let k = nb + 2 in
-  (* the call instruction itself retires, plus the body instructions *)
-  let ni = 1 + nbody_insts in
-  (* static cycles of the span: the call cost and every body item; the
-     return's cost is charged at runtime by [do_ret] (it depends on RSB
-     state and backward protection) *)
-  let static_cyc = Cost.direct_call + body_total in
-  (* body deltas: the pre-charged return fuel step is after every item *)
-  let dnss = Array.map (fun s -> s + 1) dnss0 in
-  let argv, zs_tail = direct_call_frame callee2 args in
-  let nargs = Array.length argv in
-  let dst_r = dst_reg dst in
-  let read_ret : int array -> int option =
-    match chain with
-    | [] -> assert false
-    | _ -> (
-      match (snd (List.nth chain (List.length chain - 1))).cterm with
-      | Ret None -> fun _ -> None
-      | Ret (Some (Imm i)) ->
-        let v = Some i in
-        fun _ -> v
-      | Ret (Some (Reg r)) -> fun cregs -> Some (Array.unsafe_get cregs r)
-      | Jmp _ | Br _ | Switch _ -> assert false)
-  in
-  if spec then begin
-    let tbodies =
-      Array.of_list
-        (List.filter_map
-           (fun j ->
-             match items.(j) with
-             | SInst i ->
-               Some
-                 (tbody_of ~mem_len callee_name ~dc:dcs.(j) ~dns:dnss.(j)
-                    ~dni:dnis.(j) i)
-             | SJump -> None)
-           (List.init nb (fun j -> j)))
-    in
-    let ntb = Array.length tbodies in
-    let zs = callee2.zeroset in
-    let nzs = Array.length zs in
-    fun t ->
-      if t.steps + k > t.fuel_cap then slow t
-      else begin
-        t.steps <- t.steps + k;
-        t.ctrs.insts <- t.ctrs.insts + ni;
-        t.ctrs.calls <- t.ctrs.calls + 1;
-        t.cyc <- t.cyc + static_cyc + t.cfg.extra_call_cycles;
-        emit_edge t site caller_name callee_name Edge_direct;
-        enter_code t callee_cf;
-        Rsb.push t.trsb caller_id;
-        let regs = t.cur_regs and taint = t.cur_taint in
-        let depth = t.cur_depth in
-        let cregs = raw_frame t ~depth:(depth + 1) in
-        for i = 0 to nargs - 1 do
-          Array.unsafe_set cregs i ((Array.unsafe_get argv i) regs)
-        done;
-        zero_tail zs_tail 0 cregs;
-        Array.unsafe_set t.tier_counts callee_id
-          (Array.unsafe_get t.tier_counts callee_id + 1);
-        enter_frame t callee_cf;
-        let ctaint = raw_taint_frame t ~depth:(depth + 1) in
-        for i = 0 to nzs - 1 do
-          Array.unsafe_set ctaint (Array.unsafe_get zs i) None
-        done;
-        t.cur_regs <- cregs;
-        t.cur_taint <- ctaint;
-        for j = 0 to ntb - 1 do
-          (Array.unsafe_get tbodies j) t
-        done;
-        let v = read_ret cregs in
-        do_ret t callee_cf ~ret_to:caller_id;
-        t.cur_regs <- regs;
-        t.cur_taint <- taint;
-        if dst_r >= 0 then begin
-          (match v with
-          | Some x -> Array.unsafe_set regs dst_r x
-          | None -> Array.unsafe_set regs dst_r 0);
-          Array.unsafe_set taint dst_r None
-        end
-      end
-  end
-  else begin
-    let bodies =
-      Array.of_list
-        (List.filter_map
-           (fun j ->
-             match items.(j) with
-             | SInst i ->
-               Some
-                 (pbody_of ~mem_len callee_name ~dc:dcs.(j) ~dns:dnss.(j)
-                    ~dni:dnis.(j) i)
-             | SJump -> None)
-           (List.init nb (fun j -> j)))
-    in
-    let seam t regs depth =
-      t.steps <- t.steps + k;
-      t.ctrs.insts <- t.ctrs.insts + ni;
-      t.ctrs.calls <- t.ctrs.calls + 1;
-      t.cyc <- t.cyc + static_cyc + t.cfg.extra_call_cycles;
-      emit_edge t site caller_name callee_name Edge_direct;
-      enter_code t callee_cf;
-      Rsb.push t.trsb caller_id;
-      let cregs = raw_frame t ~depth:(depth + 1) in
-      for i = 0 to nargs - 1 do
-        Array.unsafe_set cregs i ((Array.unsafe_get argv i) regs)
-      done;
-      zero_tail zs_tail 0 cregs;
-      Array.unsafe_set t.tier_counts callee_id
-        (Array.unsafe_get t.tier_counts callee_id + 1);
-      enter_frame t callee_cf;
-      t.cur_regs <- cregs;
-      cregs
-    in
-    (* Arity-specialize the hottest leaf shapes: the bound body closures
-       are direct captures, no array indexing on the fast path. *)
-    match bodies with
-    | [||] ->
-      fun t ->
-        if t.steps + k > t.fuel_cap then slow t
-        else begin
-          let regs = t.cur_regs in
-          let cregs = seam t regs t.cur_depth in
-          let v = read_ret cregs in
-          do_ret t callee_cf ~ret_to:caller_id;
-          t.cur_regs <- regs;
-          if dst_r >= 0 then
-            match v with
-            | Some x -> Array.unsafe_set regs dst_r x
-            | None -> Array.unsafe_set regs dst_r 0
-        end
-    | [| b0 |] ->
-      fun t ->
-        if t.steps + k > t.fuel_cap then slow t
-        else begin
-          let regs = t.cur_regs in
-          let cregs = seam t regs t.cur_depth in
-          b0 t;
-          let v = read_ret cregs in
-          do_ret t callee_cf ~ret_to:caller_id;
-          t.cur_regs <- regs;
-          if dst_r >= 0 then
-            match v with
-            | Some x -> Array.unsafe_set regs dst_r x
-            | None -> Array.unsafe_set regs dst_r 0
-        end
-    | [| b0; b1 |] ->
-      fun t ->
-        if t.steps + k > t.fuel_cap then slow t
-        else begin
-          let regs = t.cur_regs in
-          let cregs = seam t regs t.cur_depth in
-          b0 t;
-          b1 t;
-          let v = read_ret cregs in
-          do_ret t callee_cf ~ret_to:caller_id;
-          t.cur_regs <- regs;
-          if dst_r >= 0 then
-            match v with
-            | Some x -> Array.unsafe_set regs dst_r x
-            | None -> Array.unsafe_set regs dst_r 0
-        end
-    | _ ->
-      let nbo = Array.length bodies in
-      fun t ->
-        if t.steps + k > t.fuel_cap then slow t
-        else begin
-          let regs = t.cur_regs in
-          let cregs = seam t regs t.cur_depth in
-          for j = 0 to nbo - 1 do
-            (Array.unsafe_get bodies j) t
-          done;
-          let v = read_ret cregs in
-          do_ret t callee_cf ~ret_to:caller_id;
-          t.cur_regs <- regs;
-          if dst_r >= 0 then
-            match v with
-            | Some x -> Array.unsafe_set regs dst_r x
-            | None -> Array.unsafe_set regs dst_r 0
-        end
-  end
-
-(* A call seam whose callee is not yet hot: run the unfused closure, but
-   watch the dispatching engine's entry counter for the callee and swap
-   in the fused closure (built once, on demand) when it crosses the
-   threshold.  The swap is a plain ref-cell publication, safe by the
-   same argument as every trampoline here: the closures are immutable
-   after construction and both sides are bit-exact, so a racing domain
-   seeing the stale cell merely takes the slower exact path once more. *)
-let promotable (p : prog) ~callee_id ~(unfused : iexec) ~(build : unit -> iexec) :
-    iexec =
-  let thr = p.callfuse in
-  let cell : iexec ref = ref unfused in
-  let promoting t =
-    if Array.unsafe_get t.tier_counts callee_id > thr then begin
-      let f = build () in
-      Atomic.incr p.pstats.fused_promoted;
-      cell := f;
-      f t
-    end
-    else unfused t
-  in
-  cell := promoting;
-  fun t -> !cell t
-
-(* Lower one complex instruction inside a chain, fusing eligible direct
-   call seams when the program was compiled with fusion on.  [counts] is
-   the triggering engine's per-function entry-counter array: a callee
-   already hot at lowering time bakes the fused closure directly;
-   otherwise the seam self-promotes at runtime. *)
-let lower_cx ~spec (p : prog) ~counts (cf : cfunc) (i : Machine.cinst) : iexec =
-  match i with
-  | CCall { dst; callee = _; callee_id; args; site }
-    when p.callfuse > 0 && callee_id >= 0 -> (
-    match fuse_plan p.c2by_id.(callee_id) with
-    | Some chain ->
-      let unfused = ccomplex ~spec p.c2by_id cf i in
-      let callee_name = p.c2by_id.(callee_id).c2.f.fname in
-      let build () =
-        Trace.span ~cat:"sched" "engine:callfuse"
-          ~args:
-            [ ("caller", Trace.Str cf.f.fname); ("callee", Trace.Str callee_name) ]
-          (fun () ->
-            let fx = build_fused ~spec p cf ~dst ~callee_id ~site ~args ~slow:unfused chain in
-            Atomic.incr p.pstats.fused_seams;
-            if Trace.enabled () then
-              Trace.counter ~cat:"sched" "call-fused-seams"
-                [
-                  ("count", Trace.Int 1);
-                  ("caller", Trace.Str cf.f.fname);
-                  ("callee", Trace.Str callee_name);
-                ];
-            fx)
-      in
-      if Array.length counts > callee_id && Array.unsafe_get counts callee_id > p.callfuse
-      then build ()
-      else promotable p ~callee_id ~unfused ~build
-    | None -> ccomplex ~spec p.c2by_id cf i)
-  | _ -> ccomplex ~spec p.c2by_id cf i
 
 (* ------------------------ terminators -------------------------- *)
 
@@ -1537,17 +1135,16 @@ let cterm (bexecs : bexec array) (cf : cfunc) label (term : terminator) : bexec 
       do_ret t cf ~ret_to:t.cur_ret_to;
       v
 
-(* ------------------- blocks and superblocks -------------------- *)
+(* ---------------------- superblock traces ---------------------- *)
 
-(* Lower a chain of blocks — a single block in tier 1, a whole
-   superblock in tier 2 — into one closure.  The chain's instruction
-   streams are flattened into one item stream, each non-final block
-   contributing an [SJump] seam marker for its unconditional terminator;
-   the stream is partitioned into maximal fused segments and individual
-   call instructions, and only the FINAL block's terminator is compiled
-   (non-final terminators are guaranteed [Jmp] and live inside the
-   segments as seam accounting). *)
-let lower_chain ~spec ?stats (p : prog) ~counts (cf : cfunc) bexecs
+(* Lower a superblock trace (see [trace_of]) into one closure.  The
+   chain's instruction streams are flattened into one item stream, each
+   non-final block contributing an [SJump] seam marker for its
+   unconditional terminator; the stream is partitioned into maximal
+   fused segments and individual call instructions, and only the FINAL
+   block's terminator is compiled (non-final terminators are guaranteed
+   [Jmp] and live inside the segments as seam accounting). *)
+let lower_chain ~spec ?stats (p : prog) (cf : cfunc) bexecs
     (chain : (int * Machine.cblock) list) : bexec =
   let fname = cf.f.fname in
   let mem_len = p.mem_len in
@@ -1557,7 +1154,7 @@ let lower_chain ~spec ?stats (p : prog) ~counts (cf : cfunc) bexecs
       (List.map
          (function
            | `Seg items -> compile_segment ~spec ~mem_len ?stats fname items
-           | `Cx i -> lower_cx ~spec p ~counts cf i)
+           | `Cx i -> ccomplex ~spec p.c2by_id cf i)
          chunk_list)
   in
   let term = cterm bexecs cf last_label last_term in
@@ -1619,1492 +1216,53 @@ let trace_of (cf : cfunc) l : (int * Machine.cblock) list =
   in
   go [] [ l ] l 1
 
-(* ------------------- tier 3: register threading ----------------- *)
-
-(* The hottest traces drop the per-instruction closure array entirely:
-   the trace body becomes a flat [int array] instruction stream driven
-   by ONE tail-recursive dispatch loop.  Opcode and operands live inline
-   in the stream, so executing a simple instruction is an opcode load, a
-   couple of operand loads and the arithmetic — no indirect call, no
-   closure environment.  Accounting keeps the exact segment-batching
-   shape: a [BATCH] word pre-charges a segment's fuel/insts/cycles (its
-   guard falls back to the tier-2 per-item slow path, which dies at
-   exactly the interpreter's instruction), and potentially-faulting
-   instructions carry their rollback deltas inline.  Anything the
-   encoder cannot express stays a closure behind an escape opcode: [PB]
-   for statically out-of-bounds simple instructions (the tier-1 body
-   with baked deltas), [CX] for calls and indirect transfers (the same
-   chunk closures tier 2 uses, including fused call seams) — so tier 3
-   never duplicates semantics, it only flattens dispatch. *)
-
-let op_end = 0
-let op_batch = 1 (* k ni total slow_aux next_pc *)
-let op_cx = 2 (* aux_idx *)
-let op_pb = 3 (* pb_idx *)
-let op_const = 4 (* dst imm *)
-let op_move = 5 (* dst src *)
-let op_loadi = 6 (* dst addr — statically in bounds *)
-let op_loadr = 7 (* dst addr_reg dc dns dni *)
-let op_store_ii = 8 (* addr imm — statically in bounds *)
-let op_store_ir = 9 (* addr val_reg — statically in bounds *)
-let op_store_ri = 10 (* addr_reg imm dc dns dni *)
-let op_store_rr = 11 (* addr_reg val_reg dc dns dni *)
-let op_obs_i = 12 (* imm *)
-let op_obs_r = 13 (* reg *)
-let op_acc = 14 (* dst n (k operand)*n — left-accumulator binop run *)
-let op_pair = 15 (* sh key d1 oa1 ob1 d2 oa2 ob2 — fused binop pair *)
-
-(* Binops occupy [op_binop_base ..]: opcode = base + index*3 + shape,
-   shape 0 = (Reg, Reg), 1 = (Reg, Imm), 2 = (Imm, Reg) — immediate
-   pairs constant-fold into [op_const] at encode time.  Shift immediates
-   are pre-masked at encode time. *)
-let op_binop_base = 16
-
-let binop_index = function
-  | Add -> 0
-  | Sub -> 1
-  | Mul -> 2
-  | Xor -> 3
-  | And -> 4
-  | Or -> 5
-  | Shl -> 6
-  | Shr -> 7
-  | Lt -> 8
-  | Eq -> 9
-
-(* Left-accumulator shape test for [op_acc]: [d = op (Reg d) rhs] where
-   [rhs] is an immediate (shape 0, shift amounts pre-masked like the RI
-   binops) or a register other than [d] itself (shape 1 — an operand
-   aliasing [d] would read the stale frame slot while the live value
-   rides in the host register).  Returns the run key [d] plus the coded
-   (k, operand) pair. *)
-let acc_of = function
-  | SInst (CAssign (d, Binop (op, Reg a, Imm y))) when a = d ->
-    let y = match op with Shl | Shr -> y land 31 | _ -> y in
-    Some (d, 2 * binop_index op, y)
-  | SInst (CAssign (d, Binop (op, Reg a, Reg s))) when a = d && s <> d ->
-    Some (d, (2 * binop_index op) + 1, s)
-  | _ -> None
-
-(* Operand-shape view of one codeable binop for [op_pair] pairing:
-   [(dst, binop index, (a shape, a operand), (b shape, b operand))]
-   with shape 0 = immediate, 1 = register (forwarding is decided at the
-   pair site, where the first op's destination is known).  Shift-amount
-   immediates are pre-masked here, mirroring the single-op encoders.
-   Both-immediate binops constant-fold in the plain encoder instead. *)
-let pair_of = function
-  | SInst (CAssign (d, Binop (op, a, b))) -> (
-    match (a, b) with
-    | Imm _, Imm _ -> None
-    | _ ->
-      let oa = match a with Imm x -> (0, x) | Reg r -> (1, r) in
-      let ob =
-        match b with
-        | Imm y -> (
-          match op with Shl | Shr -> (0, y land 31) | _ -> (0, y))
-        | Reg r -> (1, r)
-      in
-      Some (d, binop_index op, oa, ob))
-  | _ -> None
-
-(* Static context of one encoded trace; [code] is passed separately so
-   the loop's per-opcode fetches touch it without a record load. *)
-type t3ctx = {
-  t3aux : iexec array;  (* CX escapes + BATCH slow paths *)
-  t3pbs : pbody array;  (* PB escapes *)
-  t3mem : int;
-  t3fname : string;
-}
-
-(* The [op_pair] superinstruction: two consecutive binops retired by ONE
-   dispatch.  On superscalar hosts the dominant per-instruction cost of
-   an int-coded stream is the single polymorphic indirect jump at the
-   dispatch switch, so halving the dispatch count roughly halves the
-   floor; the 100 (op1, op2) arms below are mechanical expansions of
-   the same eval rules the single-op opcodes use (this block and the
-   [acc_loop] switch are machine-generated — edit the generator
-   pattern, not individual arms).  Operand shapes ride in [sh]: bits
-   0-1 select immediate/register for op1's operands, bits 2-3 and 4-5
-   select immediate/register/forwarded for op2's (a register operand
-   naming [d1] is encoded as forwarded and reads [w] — the frame slot
-   store has not been observed by anything between the two ops, so
-   forwarding is exact).  Shift immediates are pre-masked at encode
-   time; register and forwarded shift amounts mask here, same as the
-   single-op arms. *)
-let pair_step (code : int array) (regs : int array) pc =
-  let sh = Array.unsafe_get code (pc + 1) in
-  let d1 = Array.unsafe_get code (pc + 3) in
-  let oa1 = Array.unsafe_get code (pc + 4) and ob1 = Array.unsafe_get code (pc + 5) in
-  let d2 = Array.unsafe_get code (pc + 6) in
-  let oa2 = Array.unsafe_get code (pc + 7) and ob2 = Array.unsafe_get code (pc + 8) in
-  let xa1 = if sh land 1 = 0 then oa1 else Array.unsafe_get regs oa1 in
-  let xb1 = if sh land 2 = 0 then ob1 else Array.unsafe_get regs ob1 in
-  let sa2 = (sh lsr 2) land 3 and sb2 = (sh lsr 4) land 3 in
-  match Array.unsafe_get code (pc + 2) with
-    | 0 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 1 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 2 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 3 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 4 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 5 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 6 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 7 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 8 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 9 ->
-      let w = xa1 + xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 10 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 11 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 12 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 13 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 14 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 15 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 16 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 17 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 18 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 19 ->
-      let w = xa1 - xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 20 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 21 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 22 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 23 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 24 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 25 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 26 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 27 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 28 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 29 ->
-      let w = xa1 * xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 30 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 31 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 32 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 33 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 34 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 35 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 36 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 37 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 38 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 39 ->
-      let w = xa1 lxor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 40 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 41 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 42 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 43 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 44 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 45 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 46 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 47 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 48 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 49 ->
-      let w = xa1 land xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 50 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 51 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 52 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 53 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 54 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 55 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 56 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 57 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 58 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 59 ->
-      let w = xa1 lor xb1 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 60 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 61 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 62 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 63 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 64 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 65 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 66 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 67 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 68 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 69 ->
-      let w = xa1 lsl (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 70 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 71 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 72 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 73 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 74 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 75 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 76 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 77 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 78 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 79 ->
-      let w = xa1 lsr (xb1 land 31) in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 80 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 81 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 82 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 83 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 84 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 85 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 86 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 87 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 88 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | 89 ->
-      let w = if xa1 < xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-    | 90 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 + xb2)
-    | 91 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 - xb2)
-    | 92 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 * xb2)
-    | 93 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lxor xb2)
-    | 94 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 land xb2)
-    | 95 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lor xb2)
-    | 96 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsl (xb2 land 31))
-    | 97 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         xa2 lsr (xb2 land 31))
-    | 98 ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 < xb2 then 1 else 0)
-    | _ ->
-      let w = if xa1 = xb1 then 1 else 0 in
-      Array.unsafe_set regs d1 w;
-      Array.unsafe_set regs d2
-        (let xa2 = if sa2 = 0 then oa2 else if sa2 = 1 then Array.unsafe_get regs oa2 else w in
-         let xb2 = if sb2 = 0 then ob2 else if sb2 = 1 then Array.unsafe_get regs ob2 else w in
-         if xa2 = xb2 then 1 else 0)
-
-(* The [op_acc] superinstruction body: a run of left-accumulator binops
-   [d = op d rhs] whose live value stays in [v] — a host register — for
-   the whole run.  Items are consumed TWO per dispatch: operands are
-   shape-resolved first (bit 0 of [k]: 0 = immediate, pre-masked for
-   shifts; 1 = register operand, never [d] itself), then one dense
-   100-way switch keyed on the op pair applies both.  One polymorphic
-   indirect jump per instruction is exactly the dispatch floor this
-   tier exists to break — and an int-switch interpreter pays it at its
-   single jump-table site just like tier 2 would pay it at a shared
-   [caml_apply] trampoline — so halving the dispatch count is worth a
-   10x wider (machine-generated) switch.  A trailing odd item takes the
-   10-way epilogue. *)
-let rec acc_loop (code : int array) (regs : int array) v pc n =
-  if n >= 2 then begin
-    let k1 = Array.unsafe_get code pc and o1 = Array.unsafe_get code (pc + 1) in
-    let k2 = Array.unsafe_get code (pc + 2) and o2 = Array.unsafe_get code (pc + 3) in
-    let x1 = if k1 land 1 = 0 then o1 else Array.unsafe_get regs o1 in
-    let x2 = if k2 land 1 = 0 then o2 else Array.unsafe_get regs o2 in
-    let v =
-      match ((k1 lsr 1) * 10) + (k2 lsr 1) with
-      | 0 -> ((v + x1) + x2)
-      | 1 -> ((v + x1) - x2)
-      | 2 -> ((v + x1) * x2)
-      | 3 -> ((v + x1) lxor x2)
-      | 4 -> ((v + x1) land x2)
-      | 5 -> ((v + x1) lor x2)
-      | 6 -> ((v + x1) lsl (x2 land 31))
-      | 7 -> ((v + x1) lsr (x2 land 31))
-      | 8 -> (if (v + x1) < x2 then 1 else 0)
-      | 9 -> (if (v + x1) = x2 then 1 else 0)
-      | 10 -> ((v - x1) + x2)
-      | 11 -> ((v - x1) - x2)
-      | 12 -> ((v - x1) * x2)
-      | 13 -> ((v - x1) lxor x2)
-      | 14 -> ((v - x1) land x2)
-      | 15 -> ((v - x1) lor x2)
-      | 16 -> ((v - x1) lsl (x2 land 31))
-      | 17 -> ((v - x1) lsr (x2 land 31))
-      | 18 -> (if (v - x1) < x2 then 1 else 0)
-      | 19 -> (if (v - x1) = x2 then 1 else 0)
-      | 20 -> ((v * x1) + x2)
-      | 21 -> ((v * x1) - x2)
-      | 22 -> ((v * x1) * x2)
-      | 23 -> ((v * x1) lxor x2)
-      | 24 -> ((v * x1) land x2)
-      | 25 -> ((v * x1) lor x2)
-      | 26 -> ((v * x1) lsl (x2 land 31))
-      | 27 -> ((v * x1) lsr (x2 land 31))
-      | 28 -> (if (v * x1) < x2 then 1 else 0)
-      | 29 -> (if (v * x1) = x2 then 1 else 0)
-      | 30 -> ((v lxor x1) + x2)
-      | 31 -> ((v lxor x1) - x2)
-      | 32 -> ((v lxor x1) * x2)
-      | 33 -> ((v lxor x1) lxor x2)
-      | 34 -> ((v lxor x1) land x2)
-      | 35 -> ((v lxor x1) lor x2)
-      | 36 -> ((v lxor x1) lsl (x2 land 31))
-      | 37 -> ((v lxor x1) lsr (x2 land 31))
-      | 38 -> (if (v lxor x1) < x2 then 1 else 0)
-      | 39 -> (if (v lxor x1) = x2 then 1 else 0)
-      | 40 -> ((v land x1) + x2)
-      | 41 -> ((v land x1) - x2)
-      | 42 -> ((v land x1) * x2)
-      | 43 -> ((v land x1) lxor x2)
-      | 44 -> ((v land x1) land x2)
-      | 45 -> ((v land x1) lor x2)
-      | 46 -> ((v land x1) lsl (x2 land 31))
-      | 47 -> ((v land x1) lsr (x2 land 31))
-      | 48 -> (if (v land x1) < x2 then 1 else 0)
-      | 49 -> (if (v land x1) = x2 then 1 else 0)
-      | 50 -> ((v lor x1) + x2)
-      | 51 -> ((v lor x1) - x2)
-      | 52 -> ((v lor x1) * x2)
-      | 53 -> ((v lor x1) lxor x2)
-      | 54 -> ((v lor x1) land x2)
-      | 55 -> ((v lor x1) lor x2)
-      | 56 -> ((v lor x1) lsl (x2 land 31))
-      | 57 -> ((v lor x1) lsr (x2 land 31))
-      | 58 -> (if (v lor x1) < x2 then 1 else 0)
-      | 59 -> (if (v lor x1) = x2 then 1 else 0)
-      | 60 -> ((v lsl (x1 land 31)) + x2)
-      | 61 -> ((v lsl (x1 land 31)) - x2)
-      | 62 -> ((v lsl (x1 land 31)) * x2)
-      | 63 -> ((v lsl (x1 land 31)) lxor x2)
-      | 64 -> ((v lsl (x1 land 31)) land x2)
-      | 65 -> ((v lsl (x1 land 31)) lor x2)
-      | 66 -> ((v lsl (x1 land 31)) lsl (x2 land 31))
-      | 67 -> ((v lsl (x1 land 31)) lsr (x2 land 31))
-      | 68 -> (if (v lsl (x1 land 31)) < x2 then 1 else 0)
-      | 69 -> (if (v lsl (x1 land 31)) = x2 then 1 else 0)
-      | 70 -> ((v lsr (x1 land 31)) + x2)
-      | 71 -> ((v lsr (x1 land 31)) - x2)
-      | 72 -> ((v lsr (x1 land 31)) * x2)
-      | 73 -> ((v lsr (x1 land 31)) lxor x2)
-      | 74 -> ((v lsr (x1 land 31)) land x2)
-      | 75 -> ((v lsr (x1 land 31)) lor x2)
-      | 76 -> ((v lsr (x1 land 31)) lsl (x2 land 31))
-      | 77 -> ((v lsr (x1 land 31)) lsr (x2 land 31))
-      | 78 -> (if (v lsr (x1 land 31)) < x2 then 1 else 0)
-      | 79 -> (if (v lsr (x1 land 31)) = x2 then 1 else 0)
-      | 80 -> ((if v < x1 then 1 else 0) + x2)
-      | 81 -> ((if v < x1 then 1 else 0) - x2)
-      | 82 -> ((if v < x1 then 1 else 0) * x2)
-      | 83 -> ((if v < x1 then 1 else 0) lxor x2)
-      | 84 -> ((if v < x1 then 1 else 0) land x2)
-      | 85 -> ((if v < x1 then 1 else 0) lor x2)
-      | 86 -> ((if v < x1 then 1 else 0) lsl (x2 land 31))
-      | 87 -> ((if v < x1 then 1 else 0) lsr (x2 land 31))
-      | 88 -> (if (if v < x1 then 1 else 0) < x2 then 1 else 0)
-      | 89 -> (if (if v < x1 then 1 else 0) = x2 then 1 else 0)
-      | 90 -> ((if v = x1 then 1 else 0) + x2)
-      | 91 -> ((if v = x1 then 1 else 0) - x2)
-      | 92 -> ((if v = x1 then 1 else 0) * x2)
-      | 93 -> ((if v = x1 then 1 else 0) lxor x2)
-      | 94 -> ((if v = x1 then 1 else 0) land x2)
-      | 95 -> ((if v = x1 then 1 else 0) lor x2)
-      | 96 -> ((if v = x1 then 1 else 0) lsl (x2 land 31))
-      | 97 -> ((if v = x1 then 1 else 0) lsr (x2 land 31))
-      | 98 -> (if (if v = x1 then 1 else 0) < x2 then 1 else 0)
-      | _ -> (if (if v = x1 then 1 else 0) = x2 then 1 else 0)
-    in
-    acc_loop code regs v (pc + 4) (n - 2)
-  end
-  else if n = 1 then begin
-    let k = Array.unsafe_get code pc and o = Array.unsafe_get code (pc + 1) in
-    let x = if k land 1 = 0 then o else Array.unsafe_get regs o in
-    match k lsr 1 with
-    | 0 -> v + x
-    | 1 -> v - x
-    | 2 -> v * x
-    | 3 -> v lxor x
-    | 4 -> v land x
-    | 5 -> v lor x
-    | 6 -> v lsl (x land 31)
-    | 7 -> v lsr (x land 31)
-    | 8 -> if v < x then 1 else 0
-    | _ -> if v = x then 1 else 0
-  end
-  else v
-
-let rec t3_step (code : int array) (c : t3ctx) t (regs : int array) pc =
-  let op = Array.unsafe_get code pc in
-  if op >= op_binop_base then begin
-    let d = Array.unsafe_get code (pc + 1)
-    and a = Array.unsafe_get code (pc + 2)
-    and b = Array.unsafe_get code (pc + 3) in
-    (match op - op_binop_base with
-    | 0 ->
-      Array.unsafe_set regs d (Array.unsafe_get regs a + Array.unsafe_get regs b)
-    | 1 -> Array.unsafe_set regs d (Array.unsafe_get regs a + b)
-    | 2 -> Array.unsafe_set regs d (a + Array.unsafe_get regs b)
-    | 3 ->
-      Array.unsafe_set regs d (Array.unsafe_get regs a - Array.unsafe_get regs b)
-    | 4 -> Array.unsafe_set regs d (Array.unsafe_get regs a - b)
-    | 5 -> Array.unsafe_set regs d (a - Array.unsafe_get regs b)
-    | 6 ->
-      Array.unsafe_set regs d (Array.unsafe_get regs a * Array.unsafe_get regs b)
-    | 7 -> Array.unsafe_set regs d (Array.unsafe_get regs a * b)
-    | 8 -> Array.unsafe_set regs d (a * Array.unsafe_get regs b)
-    | 9 ->
-      Array.unsafe_set regs d
-        (Array.unsafe_get regs a lxor Array.unsafe_get regs b)
-    | 10 -> Array.unsafe_set regs d (Array.unsafe_get regs a lxor b)
-    | 11 -> Array.unsafe_set regs d (a lxor Array.unsafe_get regs b)
-    | 12 ->
-      Array.unsafe_set regs d
-        (Array.unsafe_get regs a land Array.unsafe_get regs b)
-    | 13 -> Array.unsafe_set regs d (Array.unsafe_get regs a land b)
-    | 14 -> Array.unsafe_set regs d (a land Array.unsafe_get regs b)
-    | 15 ->
-      Array.unsafe_set regs d (Array.unsafe_get regs a lor Array.unsafe_get regs b)
-    | 16 -> Array.unsafe_set regs d (Array.unsafe_get regs a lor b)
-    | 17 -> Array.unsafe_set regs d (a lor Array.unsafe_get regs b)
-    | 18 ->
-      Array.unsafe_set regs d
-        (Array.unsafe_get regs a lsl (Array.unsafe_get regs b land 31))
-    | 19 -> Array.unsafe_set regs d (Array.unsafe_get regs a lsl b)
-    | 20 -> Array.unsafe_set regs d (a lsl (Array.unsafe_get regs b land 31))
-    | 21 ->
-      Array.unsafe_set regs d
-        (Array.unsafe_get regs a lsr (Array.unsafe_get regs b land 31))
-    | 22 -> Array.unsafe_set regs d (Array.unsafe_get regs a lsr b)
-    | 23 -> Array.unsafe_set regs d (a lsr (Array.unsafe_get regs b land 31))
-    | 24 ->
-      Array.unsafe_set regs d
-        (if Array.unsafe_get regs a < Array.unsafe_get regs b then 1 else 0)
-    | 25 -> Array.unsafe_set regs d (if Array.unsafe_get regs a < b then 1 else 0)
-    | 26 -> Array.unsafe_set regs d (if a < Array.unsafe_get regs b then 1 else 0)
-    | 27 ->
-      Array.unsafe_set regs d
-        (if Array.unsafe_get regs a = Array.unsafe_get regs b then 1 else 0)
-    | 28 -> Array.unsafe_set regs d (if Array.unsafe_get regs a = b then 1 else 0)
-    | _ -> Array.unsafe_set regs d (if a = Array.unsafe_get regs b then 1 else 0));
-    t3_step code c t regs (pc + 4)
-  end
-  else if op = op_batch then begin
-    let k = Array.unsafe_get code (pc + 1) in
-    if t.steps + k > t.fuel_cap then begin
-      (* the tier-2 slow segment replays per item and raises at exactly
-         the interpreter's instruction; if it ever returned (it cannot —
-         the guard implies some item exhausts the budget), resuming past
-         the batch would be the correct continuation *)
-      (Array.unsafe_get c.t3aux (Array.unsafe_get code (pc + 4))) t;
-      t3_step code c t regs (Array.unsafe_get code (pc + 5))
-    end
-    else begin
-      t.steps <- t.steps + k;
-      t.ctrs.insts <- t.ctrs.insts + Array.unsafe_get code (pc + 2);
-      t.cyc <- t.cyc + Array.unsafe_get code (pc + 3);
-      t3_step code c t regs (pc + 6)
-    end
-  end
-  else
-    match op with
-    | 2 (* op_cx *) ->
-      (Array.unsafe_get c.t3aux (Array.unsafe_get code (pc + 1))) t;
-      t3_step code c t regs (pc + 2)
-    | 3 (* op_pb *) ->
-      publish_regs t regs;
-      (Array.unsafe_get c.t3pbs (Array.unsafe_get code (pc + 1))) t;
-      t3_step code c t regs (pc + 2)
-    | 4 (* op_const *) ->
-      Array.unsafe_set regs (Array.unsafe_get code (pc + 1)) (Array.unsafe_get code (pc + 2));
-      t3_step code c t regs (pc + 3)
-    | 5 (* op_move *) ->
-      Array.unsafe_set regs
-        (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get regs (Array.unsafe_get code (pc + 2)));
-      t3_step code c t regs (pc + 3)
-    | 6 (* op_loadi *) ->
-      Array.unsafe_set regs
-        (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get t.mem (Array.unsafe_get code (pc + 2)));
-      t3_step code c t regs (pc + 3)
-    | 7 (* op_loadr *) ->
-      let addr = Array.unsafe_get regs (Array.unsafe_get code (pc + 2)) in
-      if addr < 0 || addr >= c.t3mem then begin
-        seg_unwind t
-          ~dc:(Array.unsafe_get code (pc + 3))
-          ~dns:(Array.unsafe_get code (pc + 4))
-          ~dni:(Array.unsafe_get code (pc + 5));
-        raise (oob_load c.t3fname addr)
-      end
-      else begin
-        Array.unsafe_set regs (Array.unsafe_get code (pc + 1)) (Array.unsafe_get t.mem addr);
-        t3_step code c t regs (pc + 6)
-      end
-    | 8 (* op_store_ii *) ->
-      Array.unsafe_set t.mem (Array.unsafe_get code (pc + 1)) (Array.unsafe_get code (pc + 2));
-      t3_step code c t regs (pc + 3)
-    | 9 (* op_store_ir *) ->
-      Array.unsafe_set t.mem
-        (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get regs (Array.unsafe_get code (pc + 2)));
-      t3_step code c t regs (pc + 3)
-    | 10 (* op_store_ri *) ->
-      let addr = Array.unsafe_get regs (Array.unsafe_get code (pc + 1)) in
-      if addr < 0 || addr >= c.t3mem then begin
-        seg_unwind t
-          ~dc:(Array.unsafe_get code (pc + 3))
-          ~dns:(Array.unsafe_get code (pc + 4))
-          ~dni:(Array.unsafe_get code (pc + 5));
-        raise (oob_store c.t3fname addr)
-      end
-      else begin
-        Array.unsafe_set t.mem addr (Array.unsafe_get code (pc + 2));
-        t3_step code c t regs (pc + 6)
-      end
-    | 11 (* op_store_rr *) ->
-      let addr = Array.unsafe_get regs (Array.unsafe_get code (pc + 1)) in
-      if addr < 0 || addr >= c.t3mem then begin
-        seg_unwind t
-          ~dc:(Array.unsafe_get code (pc + 3))
-          ~dns:(Array.unsafe_get code (pc + 4))
-          ~dni:(Array.unsafe_get code (pc + 5));
-        raise (oob_store c.t3fname addr)
-      end
-      else begin
-        Array.unsafe_set t.mem addr
-          (Array.unsafe_get regs (Array.unsafe_get code (pc + 2)));
-        t3_step code c t regs (pc + 6)
-      end
-    | 12 (* op_obs_i *) ->
-      (if t.cfg.record_trace then
-         t.trace_rev <- Array.unsafe_get code (pc + 1) :: t.trace_rev);
-      t3_step code c t regs (pc + 2)
-    | 13 (* op_obs_r *) ->
-      (if t.cfg.record_trace then
-         t.trace_rev <-
-           Array.unsafe_get regs (Array.unsafe_get code (pc + 1)) :: t.trace_rev);
-      t3_step code c t regs (pc + 2)
-    | 14 (* op_acc *) ->
-      let d = Array.unsafe_get code (pc + 1) in
-      let n = Array.unsafe_get code (pc + 2) in
-      Array.unsafe_set regs d
-        (acc_loop code regs (Array.unsafe_get regs d) (pc + 3) n);
-      t3_step code c t regs (pc + 3 + (2 * n))
-    | 15 (* op_pair *) ->
-      pair_step code regs pc;
-      t3_step code c t regs (pc + 9)
-    | _ (* op_end *) -> ()
-
-(* Encode a trace into a [t3ctx] + code stream and return its [bexec]:
-   the dispatch loop runs the flattened body, then the (closure)
-   terminator — terminators chain into [bexecs] like every tier, so
-   tier-3 traces dispatch to tier-3 successors.  Returns the coverage
-   split for observability. *)
-let lower_chain_t3 (p : prog) ~counts (cf : cfunc) bexecs
-    (chain : (int * Machine.cblock) list) : bexec * int * int =
-  let fname = cf.f.fname in
-  let mem_len = p.mem_len in
-  let chunk_list, last_label, last_term = scan_chain chain in
-  let buf = ref (Array.make 64 0) and blen = ref 0 in
-  let emit v =
-    (if !blen = Array.length !buf then begin
-       let g = Array.make (2 * !blen) 0 in
-       Array.blit !buf 0 g 0 !blen;
-       buf := g
-     end);
-    !buf.(!blen) <- v;
-    incr blen
-  in
-  let auxs = ref [] and naux = ref 0 in
-  let add_aux (x : iexec) =
-    auxs := x :: !auxs;
-    let i = !naux in
-    incr naux;
-    i
-  in
-  let pbs = ref [] and npb = ref 0 in
-  let add_pb (x : pbody) =
-    pbs := x :: !pbs;
-    let i = !npb in
-    incr npb;
-    i
-  in
-  let coded = ref 0 and total_insts = ref 0 in
-  List.iter
-    (function
-      | `Cx i ->
-        emit op_cx;
-        emit (add_aux (lower_cx ~spec:false p ~counts cf i))
-      | `Seg items ->
-        let k = Array.length items in
-        let _costs, total, ni, dcs, dnss, dnis = seg_suffixes items in
-        emit op_batch;
-        emit k;
-        emit ni;
-        emit total;
-        emit (add_aux (compile_segment ~spec:false ~mem_len fname items));
-        let nxt_pos = !blen in
-        emit 0 (* next_pc, backpatched below *);
-        let encode_one j it =
-          match it with
-          | SJump -> ()
-          | SInst i -> (
-              incr total_insts;
-              let dc = dcs.(j) and dns = dnss.(j) and dni = dnis.(j) in
-              let code () = incr coded in
-              match i with
-              | CAssign (d, (Const v | Move (Imm v))) ->
-                code ();
-                emit op_const;
-                emit d;
-                emit v
-              | CAssign (d, Move (Reg s)) ->
-                code ();
-                emit op_move;
-                emit d;
-                emit s
-              | CAssign (d, Binop (op, Imm x, Imm y)) ->
-                code ();
-                emit op_const;
-                emit d;
-                emit (eval_binop op x y)
-              | CAssign (d, Binop (op, Reg x, Reg y)) ->
-                code ();
-                emit (op_binop_base + (3 * binop_index op));
-                emit d;
-                emit x;
-                emit y
-              | CAssign (d, Binop (op, Reg x, Imm y)) ->
-                code ();
-                let y = match op with Shl | Shr -> y land 31 | _ -> y in
-                emit (op_binop_base + (3 * binop_index op) + 1);
-                emit d;
-                emit x;
-                emit y
-              | CAssign (d, Binop (op, Imm x, Reg y)) ->
-                code ();
-                emit (op_binop_base + (3 * binop_index op) + 2);
-                emit d;
-                emit x;
-                emit y
-              | CAssign (d, Load (Imm a)) when a >= 0 && a < mem_len ->
-                code ();
-                emit op_loadi;
-                emit d;
-                emit a
-              | CAssign (d, Load (Reg ar)) ->
-                code ();
-                emit op_loadr;
-                emit d;
-                emit ar;
-                emit dc;
-                emit dns;
-                emit dni
-              | CStore (Imm a, Imm v) when a >= 0 && a < mem_len ->
-                code ();
-                emit op_store_ii;
-                emit a;
-                emit v
-              | CStore (Imm a, Reg vr) when a >= 0 && a < mem_len ->
-                code ();
-                emit op_store_ir;
-                emit a;
-                emit vr
-              | CStore (Reg ar, Imm v) ->
-                code ();
-                emit op_store_ri;
-                emit ar;
-                emit v;
-                emit dc;
-                emit dns;
-                emit dni
-              | CStore (Reg ar, Reg vr) ->
-                code ();
-                emit op_store_rr;
-                emit ar;
-                emit vr;
-                emit dc;
-                emit dns;
-                emit dni
-              | CObserve (Imm v) ->
-                code ();
-                emit op_obs_i;
-                emit v
-              | CObserve (Reg r) ->
-                code ();
-                emit op_obs_r;
-                emit r
-              | CAssign _ | CStore _ ->
-                (* statically out-of-bounds access: keep the tier-1
-                   closure (its baked unwind + raise is the semantics) *)
-                emit op_pb;
-                emit (add_pb (pbody_of ~mem_len fname ~dc ~dns ~dni i))
-              | CCall _ | CIcall _ | CAsm_icall _ -> assert false)
-        in
-        (* Superinstruction selection, in priority order: collapse
-           maximal left-accumulator runs into one [op_acc]; fuse any
-           remaining adjacent codeable binops into [op_pair] (the shape
-           SSA-style lowering produces — fresh destination per assign,
-           so accumulator runs rarely form); encode the rest item by
-           item.  Binops never fault, so neither superinstruction
-           carries unwind deltas and accounting stays entirely in the
-           batch word. *)
-        let nitems = Array.length items in
-        let try_pair j0 =
-          j0 + 1 < nitems
-          &&
-          match (pair_of items.(j0), pair_of items.(j0 + 1)) with
-          | ( Some (d1, k1, (sa1, oa1), (sb1, ob1)),
-              Some (d2, k2, a2, b2) ) ->
-            (* a second-op register operand naming [d1] reads the
-               forwarded value (shape 2) instead of the frame slot *)
-            let fwd (s, o) = if s = 1 && o = d1 then (2, o) else (s, o) in
-            let sa2, oa2 = fwd a2 and sb2, ob2 = fwd b2 in
-            total_insts := !total_insts + 2;
-            coded := !coded + 2;
-            emit op_pair;
-            emit (sa1 lor (sb1 lsl 1) lor (sa2 lsl 2) lor (sb2 lsl 4));
-            emit ((k1 * 10) + k2);
-            emit d1;
-            emit oa1;
-            emit ob1;
-            emit d2;
-            emit oa2;
-            emit ob2;
-            true
-          | _ -> false
-        in
-        let j = ref 0 in
-        while !j < nitems do
-          let pair_or_single () =
-            if try_pair !j then j := !j + 2
-            else begin
-              encode_one !j items.(!j);
-              incr j
-            end
-          in
-          match acc_of items.(!j) with
-          | Some (d, _, _) ->
-            let stop = ref (!j + 1) in
-            while
-              !stop < nitems
-              &&
-              match acc_of items.(!stop) with
-              | Some (d', _, _) -> d' = d
-              | None -> false
-            do
-              incr stop
-            done;
-            let len = !stop - !j in
-            if len >= 2 then begin
-              emit op_acc;
-              emit d;
-              emit len;
-              for jj = !j to !stop - 1 do
-                match acc_of items.(jj) with
-                | Some (_, k, o) ->
-                  incr total_insts;
-                  incr coded;
-                  emit k;
-                  emit o
-                | None -> assert false
-              done;
-              j := !stop
-            end
-            else pair_or_single ()
-          | None -> pair_or_single ()
-        done;
-        !buf.(nxt_pos) <- !blen)
-    chunk_list;
-  emit op_end;
-  let code = Array.sub !buf 0 !blen in
-  let ctx =
-    {
-      t3aux = Array.of_list (List.rev !auxs);
-      t3pbs = Array.of_list (List.rev !pbs);
-      t3mem = mem_len;
-      t3fname = fname;
-    }
-  in
-  let term = cterm bexecs cf last_label last_term in
-  let bx : bexec =
-   fun t ->
-    t3_step code ctx t t.cur_regs 0;
-    step_fuel t;
-    term t
-  in
-  (bx, !coded, !total_insts)
-
-(* Static tier-3 adoption gate.  Int-coding pays off when the dispatch
-   loop can chew through long straight-line stretches; on call-dominated
-   traces every complex item (call, fused seam, branch-heavy tail)
-   bounces through [op_cx]'s extra closure indirection and the coding
-   overhead loses to the plain tier-2 segment closures.  The predicate
-   is a pure function of the superblock shape — no profile counts — so
-   the tier-3/tier-2 lowering choice per trace is deterministic across
-   runs and across [jobs] settings: a trace is int-coded only when it
-   has at least [t3_min_insts] codeable instructions and more than
-   [t3_cx_ratio] of them per complex item. *)
-let t3_min_insts = 8
-let t3_cx_ratio = 4
-
-let t3_profitable (chain : (int * Machine.cblock) list) : bool =
-  let chunk_list, _, _ = scan_chain chain in
-  let insts = ref 0 and ncx = ref 0 in
-  List.iter
-    (function
-      | `Cx _ -> incr ncx
-      | `Seg items ->
-        Array.iter (function SInst _ -> incr insts | SJump -> ()) items)
-    chunk_list;
-  !insts >= t3_min_insts && !insts > t3_cx_ratio * !ncx
-
-(* Lower one function variant into its entry [fexec].  [tier] selects
-   the lowering (1, 2 or 3; tier 3 is plain-only).
-
-   Tier 1 is lazy per BLOCK: on the aggressively inlined images a
-   function has hundreds of blocks and a workload touches a few percent
-   of them, so eager per-function lowering (the PR5 shape) wastes most
-   of its work.  Tiers 2 and 3 lower one closure (or one int-coded
-   stream) per superblock trace, {e lazily per head}: every label gets a
-   trampoline that lowers [trace_of] its label on first dispatch
-   (double-checked under a per-variant mutex) and replaces itself in
-   [bexecs] — terminators fetch [bexecs.(l)] at dispatch time, so the
-   swap is picked up transparently.  Paying fused lowering (and the tail
-   duplication it implies) only for the heads the workload actually
-   dispatches to cuts the tier-up cost by the cold-block factor, which
-   is what makes promotion profitable for short-lived engines.
-   Lowering is pure and emits nothing observable (trace events are
-   "sched"-category), so the execution-order dependence of the laziness
-   is invisible; the triggering engine's [tier_counts] seed the
-   call-seam hot-at-lowering decision, whose outcome is bit-exact either
-   way.  Superblock shape ([sb_count]/[sb_blocks]) is known statically
-   and recorded at link time; segment coverage accumulates in [stats] as
-   traces lower. *)
-let lower_fexec ~spec ~tier ?stats (p : prog) (c2f : cfunc2) : fexec =
+(* Lower one function variant into its entry [fexec]: one closure per
+   superblock trace, {e lazily per head}.  Every label gets a trampoline
+   that lowers [trace_of] its label on first dispatch (double-checked
+   under a per-variant mutex) and replaces itself in [bexecs] —
+   terminators fetch [bexecs.(l)] at dispatch time, so the swap is picked
+   up transparently.  On the aggressively inlined images a function has
+   hundreds of blocks and a workload touches a few percent of them, so
+   paying for lowering (and the tail duplication it implies) only at the
+   heads execution actually reaches is what keeps short-lived engines
+   cheap.  [stats], passed only while tracing, collects the static
+   superblock shape up front and the segment coverage as traces lower. *)
+let lower_fexec ~spec ?stats (p : prog) (c2f : cfunc2) : fexec =
   let cf = c2f.c2 in
   let nblocks = Array.length cf.cblocks in
+  (match stats with
+  | Some st ->
+    (* Every label heads a trace; the multi-block ones are the fusion
+       opportunities (tails shared by several traces are counted once per
+       trace — they are lowered once per trace too). *)
+    for l = 0 to nblocks - 1 do
+      match trace_of cf l with
+      | _ :: _ :: _ as c ->
+        st.sb_count <- st.sb_count + 1;
+        st.sb_blocks <- st.sb_blocks + List.length c
+      | _ -> ()
+    done
+  | None -> ());
   let dead : bexec = fun _ -> assert false in
   let bexecs = Array.make nblocks dead in
-  (if tier >= 2 then begin
-     (match stats with
-     | Some st ->
-       (* Static superblock shape: every label heads a trace; the
-          multi-block ones are the fusion opportunities (tails shared by
-          several traces are counted once per trace — they are lowered
-          once per trace too). *)
-       for l = 0 to nblocks - 1 do
-         match trace_of cf l with
-         | _ :: _ :: _ as c ->
-           st.sb_count <- st.sb_count + 1;
-           st.sb_blocks <- st.sb_blocks + List.length c
-         | _ -> ()
-       done
-     | None -> ());
-     let mu = Mutex.create () in
-     let lowered = Array.make nblocks false in
-     for l = 0 to nblocks - 1 do
-       bexecs.(l) <-
-         (fun t ->
-           Mutex.lock mu;
-           if not lowered.(l) then begin
-             let chain = trace_of cf l in
-             (if tier = 3 && t3_profitable chain then begin
-                let bx, coded, total =
-                  Trace.span ~cat:"sched" "engine:tier3"
-                    ~args:[ ("fn", Trace.Str cf.f.fname) ]
-                    (fun () ->
-                      lower_chain_t3 p ~counts:t.tier_counts cf bexecs chain)
-                in
-                bexecs.(l) <- bx;
-                Atomic.incr p.pstats.t3_traces;
-                ignore (Atomic.fetch_and_add p.pstats.t3_coded coded);
-                ignore (Atomic.fetch_and_add p.pstats.t3_insts total);
-                if Trace.enabled () then
-                  Trace.counter ~cat:"sched" "tier3-inst-coverage"
-                    [ ("coded", Trace.Int coded); ("total", Trace.Int total) ]
-              end
-              else
-                bexecs.(l) <-
-                  lower_chain ~spec ?stats p ~counts:t.tier_counts cf bexecs
-                    chain);
-             lowered.(l) <- true;
-             match stats with
-             | Some s when Trace.enabled () ->
-               Trace.counter ~cat:"sched" "segment-coverage"
-                 [ ("fused", Trace.Int s.seg_fused); ("total", Trace.Int s.seg_total) ]
-             | _ -> ()
-           end;
-           Mutex.unlock mu;
-           bexecs.(l) t)
-     done
-   end
-   else begin
-     let mu = Mutex.create () in
-     let lowered = Array.make nblocks false in
-     for l = 0 to nblocks - 1 do
-       bexecs.(l) <-
-         (fun t ->
-           Mutex.lock mu;
-           if not lowered.(l) then begin
-             bexecs.(l) <-
-               lower_chain ~spec p ~counts:t.tier_counts cf bexecs
-                 [ (l, cf.cblocks.(l)) ];
-             lowered.(l) <- true
-           end;
-           Mutex.unlock mu;
-           bexecs.(l) t)
-     done
-   end);
+  let mu = Mutex.create () in
+  let lowered = Array.make nblocks false in
+  for l = 0 to nblocks - 1 do
+    bexecs.(l) <-
+      (fun t ->
+        Mutex.lock mu;
+        if not lowered.(l) then begin
+          bexecs.(l) <- lower_chain ~spec ?stats p cf bexecs (trace_of cf l);
+          lowered.(l) <- true;
+          match stats with
+          | Some s when Trace.enabled () ->
+            Trace.counter ~cat:"sched" "segment-coverage"
+              [ ("fused", Trace.Int s.seg_fused); ("total", Trace.Int s.seg_total) ]
+          | _ -> ()
+        end;
+        Mutex.unlock mu;
+        bexecs.(l) t)
+  done;
   let entry = cf.f.entry in
   if spec then begin
     let zs = c2f.zeroset in
@@ -3126,121 +1284,58 @@ let lower_fexec ~spec ~tier ?stats (p : prog) (c2f : cfunc2) : fexec =
       enter_frame t cf;
       bexecs.(entry) t
 
-(* --------------------- lazy linking & tiers -------------------- *)
+(* ------------------------ lazy linking ------------------------- *)
 
-(* All four variants (tier x speculation) are lowered lazily, per
-   function, on the first call that reaches them (double-checked under
-   [link_lock]): compile itself is one cheap liveness pass, and only the
-   functions a workload actually executes — in the tiers its heat
-   actually reaches, under the speculation settings it actually uses —
-   ever pay for closure construction.  That matters for
-   compile-dominated workloads: short attack drills over many images,
-   and the online loop's fresh controller program every window.
+(* Both variants are linked lazily, per function, on the first call that
+   reaches them (double-checked under [link_lock]): compile itself is one
+   cheap liveness pass, and only the functions a workload actually
+   executes, under the speculation settings it actually uses, ever pay
+   for closure construction.  That matters for compile-dominated
+   workloads: short attack drills over many images, and the online
+   loop's fresh controller program every window.
 
    Call closures fetch their callee's [fexec_*] field at call time, so a
    linked body is picked up transparently; the only cross-function data
    baked at construction time is the callee's [zeroset], which [compile]
-   computes eagerly for exactly that reason.  All [t1_*]/[t2_*] fields
-   and [*_linked] flags — and, in a baseline program, the published
-   [fexec_*] fields — are only written under the lock.  A racing domain
+   computes eagerly for exactly that reason.  The [fexec_*] fields and
+   [*_linked] flags are only written under the lock.  A racing domain
    either still sees a trampoline — and then synchronizes on the lock
    before re-reading the field — or sees the published closure; unlinked
    bodies are never reachable. *)
 
-let link_fused_traced ~spec p c2f =
+(* The [fused-superblocks] / [segment-coverage] statistics are gathered
+   only while tracing: the static [trace_of] scan over every label would
+   otherwise be paid by every function a workload executes. *)
+let lower_traced ~spec p c2f =
   let cf = c2f.c2 in
-  let stats = { sb_count = 0; sb_blocks = 0; seg_fused = 0; seg_total = 0 } in
-  let fx =
-    Trace.span ~cat:"sched" "engine:tierup"
-      ~args:
-        [ ("fn", Trace.Str cf.f.fname); ("variant", Trace.Str (if spec then "spec" else "plain")) ]
-      (fun () -> lower_fexec ~spec ~tier:2 ~stats p c2f)
-  in
-  (* Superblock shape is static and complete at link time; segment
-     coverage samples stream from the lazy chain lowerings instead. *)
-  if Trace.enabled () then
-    Trace.counter ~cat:"sched" "fused-superblocks"
-      [ ("superblocks", Trace.Int stats.sb_count); ("blocks", Trace.Int stats.sb_blocks) ];
-  fx
+  Trace.span ~cat:"sched" "engine:link"
+    ~args:
+      [ ("fn", Trace.Str cf.f.fname); ("variant", Trace.Str (if spec then "spec" else "plain")) ]
+    (fun () ->
+      if not (Trace.enabled ()) then lower_fexec ~spec p c2f
+      else begin
+        let stats = { sb_count = 0; sb_blocks = 0; seg_fused = 0; seg_total = 0 } in
+        let fx = lower_fexec ~spec ~stats p c2f in
+        Trace.counter ~cat:"sched" "fused-superblocks"
+          [ ("superblocks", Trace.Int stats.sb_count); ("blocks", Trace.Int stats.sb_blocks) ];
+        fx
+      end)
 
-let link_now p c2f ~spec ~tier =
+let link_now p c2f ~spec =
   Mutex.lock p.link_lock;
-  (match (tier, spec) with
-  | 1, false ->
-    if not c2f.t1_plain_linked then begin
-      c2f.t1_plain <- lower_fexec ~spec:false ~tier:1 p c2f;
-      c2f.t1_plain_linked <- true;
-      if not p.tiered then c2f.fexec_plain <- c2f.t1_plain
-    end
-  | 1, true ->
-    if not c2f.t1_spec_linked then begin
-      c2f.t1_spec <- lower_fexec ~spec:true ~tier:1 p c2f;
-      c2f.t1_spec_linked <- true;
-      if not p.tiered then c2f.fexec_spec <- c2f.t1_spec
-    end
-  | 2, false ->
-    if not c2f.t2_plain_linked then begin
-      c2f.t2_plain <- link_fused_traced ~spec:false p c2f;
-      c2f.t2_plain_linked <- true
-    end
-  | 2, true ->
-    if not c2f.t2_spec_linked then begin
-      c2f.t2_spec <- link_fused_traced ~spec:true p c2f;
-      c2f.t2_spec_linked <- true
-    end
-  | 3, false ->
-    if not c2f.t3_plain_linked then begin
-      c2f.t3_plain <- lower_fexec ~spec:false ~tier:3 p c2f;
-      c2f.t3_plain_linked <- true
-    end
-  | _ -> assert false (* tier 3 has no spec variant *));
+  (if spec then begin
+     if not c2f.spec_linked then begin
+       c2f.fexec_spec <- lower_traced ~spec:true p c2f;
+       c2f.spec_linked <- true
+     end
+   end
+   else if not c2f.plain_linked then begin
+     c2f.fexec_plain <- lower_traced ~spec:false p c2f;
+     c2f.plain_linked <- true
+   end);
   Mutex.unlock p.link_lock
 
-(* The tiered entry dispatcher: bump this ENGINE's entry counter for the
-   function and pick the tier — tier 1 until the engine's threshold is
-   crossed, the fused tier after, and (plain variant only) the
-   register-threaded tier past the engine's [tier3_threshold].  Decisions
-   are per-engine (and so deterministic at any --jobs); each tier's body
-   is linked lazily in the shared program on the first entry that
-   reaches it.  The [tierup-count]/[tier3-promotions] samples mark each
-   promotion; they live in the "sched" category next to the other
-   lazy-compile traffic.  The spec variant caps at tier 2: drill
-   configurations are short-lived, and keeping taint threading out of
-   the int-coded loop is what keeps tier-3 dispatch flat. *)
-let tiered_dispatch (c2f : cfunc2) ~spec : fexec =
-  let id = c2f.c2.id in
-  let fname = c2f.c2.f.fname in
-  if spec then
-    fun t ->
-      let c = Array.unsafe_get t.tier_counts id + 1 in
-      Array.unsafe_set t.tier_counts id c;
-      if c > t.tier_threshold then begin
-        if c = t.tier_threshold + 1 && Trace.enabled () then
-          Trace.counter ~cat:"sched" "tierup-count"
-            [ ("count", Trace.Int 1); ("fn", Trace.Str fname) ];
-        c2f.t2_spec t
-      end
-      else c2f.t1_spec t
-  else
-    fun t ->
-      let c = Array.unsafe_get t.tier_counts id + 1 in
-      Array.unsafe_set t.tier_counts id c;
-      let t3 = t.tier3_threshold in
-      if t3 > 0 && c > t3 then begin
-        if c = t3 + 1 && Trace.enabled () then
-          Trace.counter ~cat:"sched" "tier3-promotions"
-            [ ("count", Trace.Int 1); ("fn", Trace.Str fname) ];
-        c2f.t3_plain t
-      end
-      else if c > t.tier_threshold then begin
-        if c = t.tier_threshold + 1 && Trace.enabled () then
-          Trace.counter ~cat:"sched" "tierup-count"
-            [ ("count", Trace.Int 1); ("fn", Trace.Str fname) ];
-        c2f.t2_plain t
-      end
-      else c2f.t1_plain t
-
-let make_prog (cv : Machine.compiled) ~mem_len ~tiered ~callfuse : prog =
+let compile (cv : Machine.compiled) ~mem_len : prog =
   let c2by_id =
     Array.map
       (fun cf ->
@@ -3249,33 +1344,12 @@ let make_prog (cv : Machine.compiled) ~mem_len ~tiered ~callfuse : prog =
           zeroset = zeroset_of cf;
           fexec_plain = unlinked;
           fexec_spec = unlinked;
-          t1_plain = unlinked;
-          t1_spec = unlinked;
-          t2_plain = unlinked;
-          t2_spec = unlinked;
-          t3_plain = unlinked;
-          t1_plain_linked = false;
-          t1_spec_linked = false;
-          t2_plain_linked = false;
-          t2_spec_linked = false;
-          t3_plain_linked = false;
+          plain_linked = false;
+          spec_linked = false;
         })
       cv.cby_id
   in
-  let pstats =
-    {
-      fused_seams = Atomic.make 0;
-      fused_promoted = Atomic.make 0;
-      t3_traces = Atomic.make 0;
-      t3_coded = Atomic.make 0;
-      t3_insts = Atomic.make 0;
-    }
-  in
-  (* Fusion watches per-engine entry counters, which only exist on
-     tiered engines — a baseline program never fuses ([--tierup 0]
-     implies [--callfuse 0]). *)
-  let callfuse = if tiered then max 0 callfuse else 0 in
-  let p = { c2by_id; mem_len; link_lock = Mutex.create (); tiered; callfuse; pstats } in
+  let p = { c2by_id; mem_len; link_lock = Mutex.create () } in
   Array.iter
     (fun c2f ->
       if not (func_valid c2f.c2) then begin
@@ -3289,72 +1363,26 @@ let make_prog (cv : Machine.compiled) ~mem_len ~tiered ~callfuse : prog =
         in
         c2f.fexec_plain <- err;
         c2f.fexec_spec <- err;
-        c2f.t1_plain <- err;
-        c2f.t1_spec <- err;
-        c2f.t2_plain <- err;
-        c2f.t2_spec <- err;
-        c2f.t3_plain <- err;
-        c2f.t1_plain_linked <- true;
-        c2f.t1_spec_linked <- true;
-        c2f.t2_plain_linked <- true;
-        c2f.t2_spec_linked <- true;
-        c2f.t3_plain_linked <- true
+        c2f.plain_linked <- true;
+        c2f.spec_linked <- true
       end
       else begin
-      c2f.t1_plain <-
-        (fun t ->
-          link_now p c2f ~spec:false ~tier:1;
-          c2f.t1_plain t);
-      c2f.t1_spec <-
-        (fun t ->
-          link_now p c2f ~spec:true ~tier:1;
-          c2f.t1_spec t);
-      c2f.t2_plain <-
-        (fun t ->
-          link_now p c2f ~spec:false ~tier:2;
-          c2f.t2_plain t);
-      c2f.t2_spec <-
-        (fun t ->
-          link_now p c2f ~spec:true ~tier:2;
-          c2f.t2_spec t);
-      c2f.t3_plain <-
-        (fun t ->
-          link_now p c2f ~spec:false ~tier:3;
-          c2f.t3_plain t);
-      if tiered then begin
-        c2f.fexec_plain <- tiered_dispatch c2f ~spec:false;
-        c2f.fexec_spec <- tiered_dispatch c2f ~spec:true
-      end
-      else begin
-        (* Baseline: the published field starts as the tier-1 trampoline
-           and is replaced (under the lock) by the linked body, so the
-           post-link call path has no dispatcher at all — exactly the
-           PR5 backend, pinned by the --tierup 0 parity leg. *)
         c2f.fexec_plain <-
           (fun t ->
-            link_now p c2f ~spec:false ~tier:1;
+            link_now p c2f ~spec:false;
             c2f.fexec_plain t);
         c2f.fexec_spec <-
           (fun t ->
-            link_now p c2f ~spec:true ~tier:1;
+            link_now p c2f ~spec:true;
             c2f.fexec_spec t)
-      end
       end)
     c2by_id;
   p
 
-let compile (cv : Machine.compiled) ~mem_len : prog =
-  make_prog cv ~mem_len ~tiered:false ~callfuse:0
-
-let compile_tiered (cv : Machine.compiled) ~mem_len ~callfuse : prog =
-  make_prog cv ~mem_len ~tiered:true ~callfuse
-
 (* The backend entry installed into [Machine.t.exec_entry]: builds the
    top-level frame (argument prefix + entry-live zeroing, like any call
    site), then one speculation-variant dispatch per top-level call — the
-   closure chain runs variant-pure from there (through the counting
-   dispatcher in a tiered program, so top-level entries are counted
-   too). *)
+   closure chain runs variant-pure from there. *)
 let entry (p : prog) : Machine.t -> cfunc -> int list -> int option =
  fun t cf args ->
   let c2 = p.c2by_id.(cf.id) in

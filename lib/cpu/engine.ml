@@ -8,21 +8,18 @@
     engine; the process default (normally [Compiled]) is set once by the
     CLI/bench [--engine] flag through {!set_default_backend}.
 
-    The compiled backend is tiered: every function starts in the
-    baseline per-block tier, and a profile counter promotes it to the
-    superblock-fused tier once its entry count crosses the engine's
-    tier-up threshold (knob: [PIBE_TIERUP] / [--tierup N] /
-    [create ?tierup]; [0] disables).  Both tiers are bit-exact, so the
-    threshold is a pure performance knob.
+    The compiled backend lowers each function lazily, on its first call,
+    into superblock-trace closures, themselves lowered lazily per trace
+    head (see {!Compile2}); there is one compiled execution shape and no
+    knob beyond the backend choice.
 
     Compilation output — the {!Machine.compiled} view plus the closure
-    program — is cached in a small LRU keyed on (physical program
-    identity x tier x speculation variant), so alternating over a
-    working set of programs (the online dual replay's deployed/pristine
-    pair, attack drills over several images) compiles each program
-    exactly once per configuration, and a tiered recompile can never
-    evict the baseline entry.  Cache traffic is visible as
-    ["sched"]-category [engine:compile] spans and
+    program — is cached in a small LRU keyed on physical program
+    identity alone, so alternating over a working set of programs (the
+    online dual replay's deployed/pristine pair, attack drills over
+    several images) compiles each program exactly once, whatever mix of
+    backends and speculation settings its engines use.  Cache traffic is
+    visible as ["sched"]-category [engine:compile] spans and
     [compile-cache-hit]/[compile-cache-miss] counters. *)
 
 open Pibe_ir
@@ -43,82 +40,6 @@ let default_backend_cell = Atomic.make Compiled
 let set_default_backend b = Atomic.set default_backend_cell b
 let default_backend () = Atomic.get default_backend_cell
 
-(* Tier-up threshold default: entries of a function beyond this count run
-   the fused tier-2 body; 0 disables tier-up (baseline closures only,
-   exactly the pre-tier backend).  Seeded from PIBE_TIERUP, overridden by
-   the --tierup flag via [set_default_tierup], and per engine at
-   [create ?tierup].
-
-   2 entries: lowering is lazy per superblock head, so an eager
-   threshold only pays fused lowering for traces the workload actually
-   re-dispatches to — the old conservative default of 1024 was tuned
-   for the PR5 eager-per-function lowering and left the measurement
-   cells (fresh engine, ~tens of top-level entries, thousands of inner
-   iterations) stuck in tier 1 forever.  Measured on table1 with the
-   interleaved tools/bench_compare.sh protocol: tierup 2 vs 1024 is a
-   tens-of-percent end-to-end win, and tierup 2 vs 1 is noise because
-   the second entry is already amortized by the inner loops. *)
-let tierup_default = 2
-
-let default_tierup_cell =
-  Atomic.make
-    (match Sys.getenv_opt "PIBE_TIERUP" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> tierup_default)
-    | None -> tierup_default)
-
-let set_default_tierup n = Atomic.set default_tierup_cell (max 0 n)
-let default_tierup () = Atomic.get default_tierup_cell
-
-(* Call-seam fusion threshold default: a direct call site fuses across
-   the call/return pair into a leaf callee once the callee's per-engine
-   entry count crosses this; 0 disables fusion.  Callee heat
-   accumulates per CALL, not per top-level entry, so a leaf invoked
-   from a loop gets hot within the first handful of iterations; the
-   fused span itself is rebuilt at most once per call site (the
-   self-promoting seam publishes the fused closure and disappears), so
-   an eager threshold of 2 costs one fuse_plan walk per hot seam and
-   nothing on cold ones.  Seeded from PIBE_CALLFUSE, overridden by
-   --callfuse / [create ?callfuse]. *)
-let callfuse_default = 2
-
-let default_callfuse_cell =
-  Atomic.make
-    (match Sys.getenv_opt "PIBE_CALLFUSE" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> callfuse_default)
-    | None -> callfuse_default)
-
-let set_default_callfuse n = Atomic.set default_callfuse_cell (max 0 n)
-let default_callfuse () = Atomic.get default_callfuse_cell
-
-(* Tier-3 threshold default: function entries beyond this count run the
-   register-threaded int-coded tier (plain variant only); 0 disables.
-   64 entries: the int-stream encoding is a third lowering of the
-   trace, so it must amortize over repeated executions, but the static
-   shape gate in compile2 ([t3_profitable]) already keeps it off
-   call-dominated traces where it can't win — so the threshold only
-   needs to skip genuinely short-lived functions, not act as the
-   profitability filter.  Seeded from PIBE_TIER3, overridden by
-   --tier3 / [create ?tier3]. *)
-let tier3_default = 64
-
-let default_tier3_cell =
-  Atomic.make
-    (match Sys.getenv_opt "PIBE_TIER3" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> tier3_default)
-    | None -> tier3_default)
-
-let set_default_tier3 n = Atomic.set default_tier3_cell (max 0 n)
-let default_tier3 () = Atomic.get default_tier3_cell
-
 (* ----------------------- compile cache ------------------------- *)
 
 (* Bounded LRU over physically-distinct programs, MRU first.  The common
@@ -132,20 +53,14 @@ let default_tier3 () = Atomic.get default_tier3_cell
    is pure), and a racing domain's finished entry is adopted over our
    own. *)
 
-(* An entry is keyed on (physical program x tier x speculation variant):
-   tiered closure programs carry per-function fused bodies and a counting
-   dispatcher the baseline must not pay for, and speculation-on engines
-   link the taint-threading closure variants — so the three axes get
-   separate entries and can never evict each other's lowering work
-   (pinned by the tier-keying regression test in test_backend.ml). *)
+(* An entry is keyed on physical program identity alone: the compiled
+   view and the closure program depend on nothing else — the plain and
+   speculation variants live side by side in one closure program, and
+   interpreter engines use only the view — so every engine on one image
+   shares one entry (pinned by the cache-sharing test in
+   test_backend.ml). *)
 type cache_entry = {
   cprog : Program.t;
-  ctiered : bool;
-  cspec : bool;
-  ccallfuse : int;
-      (* the callfuse threshold is baked into lowering (it decides which
-         call seams fuse), so it is part of the key; the tier-up and
-         tier-3 thresholds stay per-engine and share one entry *)
   cview : compiled;
   cclosures : Compile2.prog;
 }
@@ -172,22 +87,18 @@ let rec truncate n = function
   | _ :: _ when n = 0 -> []
   | e :: rest -> e :: truncate (n - 1) rest
 
-(* Splits out the entry for [prog] under the given tier/spec key, if
-   cached: (entry, others). *)
-let take_entry prog ~tiered ~spec ~callfuse entries =
+(* Splits out the entry for [prog], if cached: (entry, others). *)
+let take_entry prog entries =
   let rec go acc = function
     | [] -> None
-    | e :: rest
-      when e.cprog == prog && e.ctiered = tiered && e.cspec = spec
-           && e.ccallfuse = callfuse ->
-      Some (e, List.rev_append acc rest)
+    | e :: rest when e.cprog == prog -> Some (e, List.rev_append acc rest)
     | e :: rest -> go (e :: acc) rest
   in
   go [] entries
 
-let entry_for prog ~tiered ~spec ~callfuse =
+let entry_for prog =
   Mutex.lock compile_lock;
-  match take_entry prog ~tiered ~spec ~callfuse !cache with
+  match take_entry prog !cache with
   | Some (e, others) ->
     cache := e :: others;
     Mutex.unlock compile_lock;
@@ -199,16 +110,12 @@ let entry_for prog ~tiered ~spec ~callfuse =
     let fresh =
       Pibe_trace.Trace.span ~cat:"sched" "engine:compile" (fun () ->
           let cview = compile prog in
-          let mem_len = prog.Program.globals_size in
-          let cclosures =
-            if tiered then Compile2.compile_tiered cview ~mem_len ~callfuse
-            else Compile2.compile cview ~mem_len
-          in
-          { cprog = prog; ctiered = tiered; cspec = spec; ccallfuse = callfuse; cview; cclosures })
+          let cclosures = Compile2.compile cview ~mem_len:prog.Program.globals_size in
+          { cprog = prog; cview; cclosures })
     in
     Mutex.lock compile_lock;
     let e, others =
-      match take_entry prog ~tiered ~spec ~callfuse !cache with
+      match take_entry prog !cache with
       | Some (e, others) -> (e, others)  (* another domain won the race *)
       | None -> (fresh, !cache)
     in
@@ -218,33 +125,11 @@ let entry_for prog ~tiered ~spec ~callfuse =
 
 (* ------------------------ construction ------------------------- *)
 
-let create ?(config = default_config) ?backend ?tierup ?callfuse ?tier3 prog =
+let create ?(config = default_config) ?backend prog =
   let backend =
     match backend with Some b -> b | None -> Atomic.get default_backend_cell
   in
-  let tierup =
-    match tierup with Some n -> max 0 n | None -> Atomic.get default_tierup_cell
-  in
-  (* Only compiled engines tier up; [tierup = 0] pins the baseline
-     closure program (the --tierup 0 parity leg). *)
-  let tiered = backend = Compiled && tierup > 0 in
-  (* Call-seam fusion and tier 3 both ride on the per-engine entry
-     counters, which only tiered engines maintain — [--tierup 0] implies
-     both off. *)
-  let callfuse =
-    if not tiered then 0
-    else
-      match callfuse with
-      | Some n -> max 0 n
-      | None -> Atomic.get default_callfuse_cell
-  in
-  let tier3 =
-    if not tiered then 0
-    else
-      match tier3 with Some n -> max 0 n | None -> Atomic.get default_tier3_cell
-  in
-  let spec = config.speculation <> None in
-  let entry = entry_for prog ~tiered ~spec ~callfuse in
+  let entry = entry_for prog in
   let compiled = entry.cview in
   let n = Array.length compiled.cby_id in
   {
@@ -280,16 +165,6 @@ let create ?(config = default_config) ?backend ?tierup ?callfuse ?tier3 prog =
       };
     max_regs = compiled.cmax_regs;
     backend;
-    tier_threshold = (if tiered then tierup else 0);
-    tier_counts = (if tiered then Array.make n 0 else [||]);
-    tier3_threshold = tier3;
-    callfuse_threshold = callfuse;
-    backend_stats =
-      (match backend with
-      | Interp -> fun () -> []
-      | Compiled ->
-        let closures = entry.cclosures in
-        fun () -> Compile2.prog_stats closures);
     exec_entry =
       (match backend with
       | Interp -> Interp.entry
@@ -341,33 +216,6 @@ let call t name args =
 
 let speculation t = t.cfg.speculation
 let backend t = t.backend
-let tierup_threshold t = t.tier_threshold
-let tier3_threshold t = t.tier3_threshold
-let callfuse_threshold t = t.callfuse_threshold
-let backend_stats t = t.backend_stats ()
-
-let entry_count t name =
-  if Array.length t.tier_counts = 0 then 0
-  else
-    match Hashtbl.find_opt t.funcs name with
-    | Some cf -> t.tier_counts.(cf.id)
-    | None -> 0
-
-let promoted t name =
-  t.tier_threshold > 0 && entry_count t name > t.tier_threshold
-
-let tier3_promoted t name =
-  t.tier3_threshold > 0 && entry_count t name > t.tier3_threshold
-
-(* How many functions this engine has pushed past its tier-3 threshold —
-   a pure function of the engine's own entry counters, so deterministic
-   at any --jobs (unlike the prog-level lowering stats). *)
-let tier3_promotions t =
-  if t.tier3_threshold <= 0 then 0
-  else
-    Array.fold_left
-      (fun acc c -> if c > t.tier3_threshold then acc + 1 else acc)
-      0 t.tier_counts
 
 let cycles t = t.cyc
 let reset_cycles t = t.cyc <- 0
@@ -407,16 +255,5 @@ let trace_counters ?(cat = "cpu") ~name t =
             (match t.cfg.speculation with
             | None -> 0
             | Some s -> List.length (Speculation.events s)) );
-        ("tier3_promotions", Int (tier3_promotions t));
-      ];
-    (* Lowering stats (fused call seams, tier-3 coverage) are
-       scheduling-dependent — whichever engine lowers first moves them —
-       so they ride in a separate "sched"-category sample that
-       [Trace.canonical] strips, keeping the [cat] sample above
-       deterministic. *)
-    match t.backend_stats () with
-    | [] -> ()
-    | stats ->
-      counter ~cat:"sched" (name ^ ":lowering")
-        (List.map (fun (k, v) -> (k, Int v)) stats)
+      ]
   end

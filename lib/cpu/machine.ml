@@ -160,29 +160,6 @@ type t = {
   ctrs : counters;
   max_regs : int;
   backend : backend;
-  tier_threshold : int;
-      (* tier-up knob: entries of a function beyond this count run the
-         fused tier; 0 = tier-up disabled (baseline closures only) *)
-  tier_counts : int array;
-      (* per-function entry counters, by interned id; PER-ENGINE so
-         tier-up decisions are deterministic at any --jobs (the fused
-         closures themselves live in the shared compiled program).
-         Empty unless this engine runs the tiered compiled backend. *)
-  tier3_threshold : int;
-      (* register-threaded tier-3 knob: entries of a function beyond this
-         count run the int-coded dispatch loop; 0 = tier 3 disabled.
-         Only meaningful on tiered compiled engines. *)
-  callfuse_threshold : int;
-      (* call-seam fusion knob this engine was created with: a direct
-         call site fuses across the call/return pair once the callee's
-         entry count crosses it; 0 = fusion off.  Baked into the shared
-         closure program (it changes lowering), kept here for the
-         accessor. *)
-  backend_stats : unit -> (string * int) list;
-      (* installed by [Engine.create]: lowering statistics of the shared
-         closure program (fused call seams, tier-3 coverage); empty for
-         the interpreter backend.  Scheduling-dependent — report only
-         under the "sched" trace category. *)
   mutable exec_entry : t -> cfunc -> int list -> int option;
       (* installed by [Engine.create]: the selected backend's entry path;
          builds the top-level frame from the argument list itself, so

@@ -82,7 +82,7 @@ let random_func rng prog ~name ~callees ~n_fptrs =
 
 (* Chain-biased generator: functions whose CFGs are long runs of
    single-predecessor blocks linked by unconditional jumps — exactly the
-   shape tier-2 superblock fusion targets.  Occasional conditional
+   shape superblock traces fuse.  Occasional conditional
    branches, skip edges and duplicated-target [Br]s break some chains
    mid-way, so the head/interior analysis sees merges and non-[Jmp]
    single-predecessor edges too; occasional calls split fused segments;
@@ -151,15 +151,13 @@ let random_chain_func rng prog ~name ~callees =
   (!prog, Builder.finish b ())
 
 (* Call-chain-biased generator: deep chains of direct calls ending in
-   straight-line leaves — exactly the shape call-seam fusion targets.
-   Leaves are CAssign/CStore/CObserve-only with [Jmp]-chained blocks;
-   some plant a deterministically faulting load (a fault in the middle
-   of a fused call body must roll the batched seam accounting back
-   bit-exactly), and a few are deliberately oversized so the fusion
-   size bound's rejection path runs too.  Callers make several calls
-   per activation, so leaf entry counts cross low fusion thresholds
-   mid-run and every run compares the unfused, promoting and fused
-   states against the interpreter. *)
+   straight-line leaves, so call/return seams dominate the run.  Leaves
+   are CAssign/CStore/CObserve-only with [Jmp]-chained blocks (one
+   superblock trace each); some plant a deterministically faulting load
+   (a fault in the middle of a leaf's batched segment must roll the
+   accounting back bit-exactly), and a few are deliberately oversized.
+   Callers make several calls per activation, so each run enters leaves
+   through both the link trampoline and the linked body. *)
 let random_leaf_func rng ~name =
   let params = 1 + Rng.int rng 2 in
   let b = Builder.create ~name ~params in

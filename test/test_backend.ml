@@ -44,13 +44,10 @@ let counters_list (c : Engine.counters) =
 
 (* [mkconfig] builds a fresh config (plus its drill state, if any) per
    run, so stateful hooks and speculation state never leak between the
-   two backends under comparison.  [tierup] pins the compiled backend's
-   tier-up threshold per engine — the suite's standard workloads make
-   only a handful of calls, so exercising the fused tier needs low
-   explicit thresholds. *)
-let run_with ?tierup ?callfuse ?tier3 ~backend ~mkconfig prog calls =
+   two backends under comparison. *)
+let run_with ~backend ~mkconfig prog calls =
   let config, spec = mkconfig () in
-  let engine = Engine.create ~config ~backend ?tierup ?callfuse ?tier3 prog in
+  let engine = Engine.create ~config ~backend prog in
   let outcomes =
     List.map
       (fun (entry, args) ->
@@ -71,9 +68,9 @@ let run_with ?tierup ?callfuse ?tier3 ~backend ~mkconfig prog calls =
     spec_events = (match spec with None -> [] | Some s -> Speculation.events s);
   }
 
-let agree ?tierup ?callfuse ?tier3 ~mkconfig prog calls =
+let agree ~mkconfig prog calls =
   run_with ~backend:Engine.Interp ~mkconfig prog calls
-  = run_with ?tierup ?callfuse ?tier3 ~backend:Engine.Compiled ~mkconfig prog calls
+  = run_with ~backend:Engine.Compiled ~mkconfig prog calls
 
 (* ------------------------------------------------------------------ *)
 (* Configuration axes                                                  *)
@@ -165,19 +162,33 @@ let differential name mkconfig =
       agree ~mkconfig prog (Helpers.standard_calls prog))
 
 (* ------------------------------------------------------------------ *)
-(* Tier-2 superblock fusion                                            *)
+(* Superblock traces and call seams                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Chain-biased programs at a threshold of 1: the first call runs tier 1,
-   every later call the fused tier, so each run compares BOTH tiers
-   against the interpreter — including the planted mid-segment faulting
-   loads of the generator. *)
-let differential_chain name tierup mkconfig =
+(* Chain-biased programs: long Jmp-linked block chains, so every run
+   executes multi-block superblock traces — including the planted
+   mid-segment faulting loads of the generator. *)
+let differential_chain name mkconfig =
   QCheck.Test.make ~count:60 ~name
     QCheck.(make Gen.(0 -- 100_000))
     (fun seed ->
       let prog = Helpers.random_chain_program seed in
-      agree ~tierup ~mkconfig prog (Helpers.standard_calls prog))
+      agree ~mkconfig prog (Helpers.standard_calls prog))
+
+(* The same chain programs once an earlier compiled engine has linked
+   them: the second engine is a compile-cache hit that starts on the
+   already published traces instead of the link trampolines, and must
+   still match the interpreter exactly. *)
+let differential_chain_linked =
+  QCheck.Test.make ~count:60 ~name:"superblock chains agree once linked"
+    QCheck.(make Gen.(0 -- 100_000))
+    (fun seed ->
+      let prog = Helpers.random_chain_program seed in
+      let calls = Helpers.standard_calls prog in
+      ignore (run_with ~backend:Engine.Compiled ~mkconfig:base prog calls);
+      let _, misses = Engine.compile_cache_stats () in
+      let ok = agree ~mkconfig:base prog calls in
+      ok && snd (Engine.compile_cache_stats ()) = misses)
 
 (* Fuel budgets swept per seed around the size of one superblock: both
    backends must die out-of-fuel at the same step even when the budget
@@ -196,69 +207,22 @@ let differential_chain_starved =
           },
           None )
       in
-      agree ~tierup:1 ~mkconfig prog (Helpers.standard_calls prog))
+      agree ~mkconfig prog (Helpers.standard_calls prog))
 
-(* The two compiled configurations must also agree with each other at
-   any pair of thresholds — tier-up must be invisible, not just
-   interp-equivalent. *)
-let differential_tier_settings =
-  QCheck.Test.make ~count:40 ~name:"tier thresholds mutually bit-exact"
-    QCheck.(make Gen.(0 -- 100_000))
-    (fun seed ->
-      let prog = Helpers.random_chain_program seed in
-      let calls = Helpers.standard_calls prog in
-      let snap ?(callfuse = 0) ?(tier3 = 0) tierup =
-        run_with ~tierup ~callfuse ~tier3 ~backend:Engine.Compiled ~mkconfig:base
-          prog calls
-      in
-      let s0 = snap 0 in
-      s0 = snap 1 && s0 = snap 2 && s0 = snap 1_000_000
-      && s0 = snap ~callfuse:1 1
-      && s0 = snap ~tier3:1 1
-      && s0 = snap ~callfuse:1 ~tier3:2 1
-      && s0 = snap ~callfuse:3 ~tier3:4 2)
-
-(* ------------------------------------------------------------------ *)
-(* Call-seam fusion and tier 3                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Call-chain-biased programs at thresholds of 1: leaf entry counts
-   cross the fusion threshold during the first activation, so each run
-   compares the unfused, self-promoting and fused call seams against
-   the interpreter — including the generator's planted mid-leaf faults
-   and deliberately oversized (fusion-rejected) leaves. *)
-let differential_callfuse name mkconfig =
+(* Call-chain-biased programs: loops of direct calls into small leaves,
+   including the generator's planted mid-leaf faults and oversized
+   leaves, so call/return seams dominate the run. *)
+let differential_calls name mkconfig =
   QCheck.Test.make ~count:60 ~name
     QCheck.(make Gen.(0 -- 100_000))
     (fun seed ->
       let prog = Helpers.random_call_program seed in
-      agree ~tierup:1 ~callfuse:1 ~mkconfig prog (Helpers.standard_calls prog))
+      agree ~mkconfig prog (Helpers.standard_calls prog))
 
-(* Tier 3 at a threshold of 2 over the chain-heavy generator: the first
-   calls run tiers 1-2, later calls the register-threaded stream, so
-   one run covers every promotion edge (including faults landing inside
-   int-coded batches). *)
-let differential_tier3 name mkconfig =
-  QCheck.Test.make ~count:60 ~name
-    QCheck.(make Gen.(0 -- 100_000))
-    (fun seed ->
-      let prog = Helpers.random_chain_program seed in
-      agree ~tierup:1 ~tier3:2 ~mkconfig prog (Helpers.standard_calls prog))
-
-(* All tiers at once on the call-heavy shape. *)
-let differential_all_tiers =
-  QCheck.Test.make ~count:60 ~name:"callfuse+tier3 chains agree"
-    QCheck.(make Gen.(0 -- 100_000))
-    (fun seed ->
-      let prog = Helpers.random_call_program seed in
-      agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig:base prog
-        (Helpers.standard_calls prog))
-
-(* Fuel budgets swept around the size of one fused call span: both
-   backends must die out-of-fuel at the same step even when the budget
-   runs dry exactly at a fused call seam (the pre-charged call + body +
-   return batch must unwind to the interpreter's partial state). *)
-let differential_callfuse_starved =
+(* Fuel budgets swept around the size of one call span: both backends
+   must die out-of-fuel at the same step even when the budget runs dry
+   exactly at a call or return seam. *)
+let differential_calls_starved =
   QCheck.Test.make ~count:80 ~name:"out-of-fuel at call seams agrees"
     QCheck.(make Gen.(0 -- 100_000))
     (fun seed ->
@@ -271,12 +235,11 @@ let differential_callfuse_starved =
           },
           None )
       in
-      agree ~tierup:1 ~callfuse:1 ~tier3:3 ~mkconfig prog
-        (Helpers.standard_calls prog))
+      agree ~mkconfig prog (Helpers.standard_calls prog))
 
 (* A deterministic fault in the middle of a fused run: the load's address
    register goes out of bounds only for the poisoned argument, after the
-   chain is already promoted — the rolled-back batch accounting must
+   trace is already lowered — the rolled-back batch accounting must
    leave exactly the interpreter's partial state. *)
 let test_fault_mid_superblock () =
   let open Types in
@@ -309,14 +272,14 @@ let test_fault_mid_superblock () =
   in
   Alcotest.(check bool)
     "fault mid-superblock rolls back bit-exactly" true
-    (agree ~tierup:1 ~mkconfig:base prog calls
-    && agree ~tierup:2 ~mkconfig:base prog calls)
+    (agree ~mkconfig:base prog calls)
 
-(* A fused (caller, callee) pair whose leaf faults only for a poisoned
-   argument, long after the seam is promoted: the batched call + body +
-   return accounting must roll back to exactly the interpreter's partial
-   state (call counter bumped, edge recorded, callee frame live). *)
-let fused_call_prog () =
+(* A caller with two call seams into a straight-line leaf that faults
+   only for a poisoned argument, long after both traces are lowered: the
+   leaf's batched segment must roll back to exactly the interpreter's
+   partial state (call counter bumped, edge recorded, callee frame
+   live). *)
+let leaf_call_prog () =
   let open Types in
   let leaf =
     let b = Builder.create ~name:"leaf" ~params:1 in
@@ -339,9 +302,7 @@ let fused_call_prog () =
     let b = Builder.create ~name:"f0" ~params:1 in
     let r0 = Builder.reg b in
     Builder.assign b r0 (Binop (Add, Reg 0, Imm 1));
-    (* a straight-line compute stretch so the trace qualifies for the
-       tier-3 shape gate even with its two call seams — the fused seams
-       then run inside the int-coded stream (the op_cx path) *)
+    (* a straight-line compute stretch ahead of the two call seams *)
     let acc = ref r0 in
     for k = 1 to 9 do
       let r = Builder.reg b in
@@ -363,22 +324,20 @@ let fused_call_prog () =
   in
   Program.add_func !prog main
 
-let test_fault_mid_fused_call () =
-  let prog = fused_call_prog () in
+let test_fault_mid_call () =
+  let prog = leaf_call_prog () in
   let calls =
     [ ("f0", [ 1 ]); ("f0", [ 2 ]); ("f0", [ 3 ]); ("f0", [ 9999 ]); ("f0", [ 4 ]) ]
   in
   Alcotest.(check bool)
-    "fault mid-fused-call rolls back bit-exactly" true
-    (agree ~tierup:1 ~callfuse:1 ~mkconfig:base prog calls
-    && agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig:base prog calls
-    && agree ~tierup:1 ~callfuse:2 ~mkconfig:hardened prog calls)
+    "fault mid-call rolls back bit-exactly" true
+    (agree ~mkconfig:base prog calls && agree ~mkconfig:hardened prog calls)
 
 (* Every fuel budget from empty to past the whole workload: wherever the
-   budget dies — before the seam, on the pre-charged call step, inside
-   the fused body, on the return — both backends stop identically. *)
+   budget dies — before the seam, on the call step, inside the leaf's
+   batched segment, on the return — both backends stop identically. *)
 let test_fuel_sweep_at_call_seam () =
-  let prog = fused_call_prog () in
+  let prog = leaf_call_prog () in
   let calls = [ ("f0", [ 1 ]); ("f0", [ 2 ]); ("f0", [ 3 ]); ("f0", [ 4 ]) ] in
   for fuel = 1 to 80 do
     let mkconfig () =
@@ -387,16 +346,14 @@ let test_fuel_sweep_at_call_seam () =
     Alcotest.(check bool)
       (Printf.sprintf "fuel %d dies at the same step" fuel)
       true
-      (agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig prog calls)
+      (agree ~mkconfig prog calls)
   done
 
-(* Accumulator-run superinstructions: tier 3 collapses consecutive
-   [d = op d rhs] binops into one [op_acc] whose live value rides in a
-   host register.  Cover every binop in both operand shapes, an
-   odd-length run, the run-breaking aliases ([x = x + x] reads the
-   operand from the frame, so it must NOT join a run), comparisons that
-   collapse the accumulator to 0/1 mid-run, and register shift amounts
-   past the mask — all bit-exact against the interpreter. *)
+(* Accumulator runs: long stretches of [d = op d rhs] binops through one
+   register.  Cover every binop in both operand shapes, an odd-length
+   run, self-aliasing operands ([x = x + x]), comparisons that collapse
+   the accumulator to 0/1 mid-run, and register shift amounts past the
+   mask — all bit-exact against the interpreter. *)
 let acc_run_prog () =
   let open Types in
   let b = Builder.create ~name:"f0" ~params:1 in
@@ -408,7 +365,7 @@ let acc_run_prog () =
     (fun (op, i) -> Builder.assign b x (Binop (op, Reg x, Imm i)))
     [ (Add, 5); (Sub, 3); (Mul, 7); (Xor, 9); (Or, 33); (And, 255);
       (Shl, 3); (Shr, 2); (Lt, 1000); (Eq, 1); (Add, 41); (Mul, 13) ];
-  (* operand aliasing the accumulator breaks the run *)
+  (* operand aliasing the accumulator *)
   Builder.assign b x (Binop (Add, Reg x, Reg x));
   (* register-shape run, including shift amounts >= 32 in [y] *)
   List.iter
@@ -432,13 +389,12 @@ let test_acc_runs () =
   in
   Alcotest.(check bool)
     "accumulator runs agree bit-exactly" true
-    (agree ~tierup:1 ~tier3:2 ~mkconfig:base prog calls
-    && agree ~tierup:2 ~callfuse:1 ~tier3:3 ~mkconfig:hardened prog calls)
+    (agree ~mkconfig:base prog calls && agree ~mkconfig:hardened prog calls)
 
-(* A self-recursive callee can never fuse (its body contains a call, so
-   the leaf gate rejects it): the seam count must stay zero while the
-   runs still agree with the interpreter. *)
-let test_recursive_callee_not_fused () =
+(* A self-recursive callee: every activation re-enters the same lowered
+   traces from a deeper frame, and the runs must agree with the
+   interpreter. *)
+let test_recursive_callee () =
   let open Types in
   let prog = ref (Program.with_globals_size Program.empty Helpers.mem_cells) in
   let rec_func =
@@ -475,53 +431,30 @@ let test_recursive_callee_not_fused () =
   let prog = Program.add_func !prog main in
   let calls = List.init 6 (fun i -> ("f0", [ i ])) in
   Alcotest.(check bool)
-    "recursive callee agrees unfused" true
-    (agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig:base prog calls);
-  let engine = Engine.create ~tierup:1 ~callfuse:1 prog in
-  List.iter (fun (entry, args) -> ignore (Engine.call engine entry args)) calls;
-  Alcotest.(check int) "no seam ever fuses a recursive callee" 0
-    (List.assoc "call-fused-seams" (Engine.backend_stats engine))
+    "recursive callee agrees" true
+    (agree ~mkconfig:base prog calls && agree ~mkconfig:drilled prog calls)
 
-(* Tier-up decisions are per-engine counters, so they cannot depend on
-   how many other engines run concurrently: N domains each driving a
-   private engine over the same workload must reach identical snapshots,
-   entry counts and promotion decisions as a sequential engine. *)
-let test_tierup_deterministic_across_jobs () =
-  let prog = Helpers.random_chain_program 321_123 in
-  let call_prog = Helpers.random_call_program 321_124 in
-  let calls = Helpers.standard_calls prog in
-  let call_calls = Helpers.standard_calls call_prog in
-  let profile () =
-    let snap = run_with ~tierup:2 ~backend:Engine.Compiled ~mkconfig:base prog calls in
-    (* all three tiers plus fusion live at once on the call-heavy shape *)
-    let snap_fused =
-      run_with ~tierup:1 ~callfuse:1 ~tier3:2 ~backend:Engine.Compiled ~mkconfig:base
-        call_prog call_calls
-    in
-    let engine = Engine.create ~tierup:2 ~tier3:3 prog in
-    List.iter
-      (fun (entry, args) ->
-        match Engine.call engine entry args with
-        | _ -> ()
-        | exception (Engine.Runtime_error _ | Engine.Out_of_fuel) -> ())
-      calls;
-    let counts =
-      List.map
-        (fun name ->
-          ( name,
-            Engine.entry_count engine name,
-            Engine.promoted engine name,
-            Engine.tier3_promoted engine name ))
-        (Program.layout_order prog)
-    in
-    (snap, snap_fused, counts)
+(* Lazy lowering is shared: four domains drive private engines over ONE
+   program, so whichever domain first reaches a function or a trace head
+   lowers it for all of them, in a scheduling-dependent order.  Every
+   domain's snapshots must still equal a sequential run over a
+   structurally identical but physically distinct copy (its own cache
+   entry, lowered by one engine alone). *)
+let test_lazy_lowering_deterministic_across_domains () =
+  let progs () = (Helpers.random_chain_program 321_123, Helpers.random_call_program 321_124) in
+  let profile (chain_prog, call_prog) () =
+    ( run_with ~backend:Engine.Compiled ~mkconfig:base chain_prog
+        (Helpers.standard_calls chain_prog),
+      run_with ~backend:Engine.Compiled ~mkconfig:drilled call_prog
+        (Helpers.standard_calls call_prog) )
   in
-  let sequential = profile () in
-  let domains = List.init 4 (fun _ -> Domain.spawn profile) in
+  let sequential = profile (progs ()) () in
+  let shared = progs () in
+  let domains = List.init 4 (fun _ -> Domain.spawn (profile shared)) in
   List.iteri
     (fun i d ->
       Alcotest.(check bool)
-        (Printf.sprintf "domain %d matches sequential tier-up profile" i)
+        (Printf.sprintf "domain %d matches the sequential run" i)
         true
         (Domain.join d = sequential))
     domains
@@ -604,48 +537,31 @@ let test_trace_compile_events () =
   Alcotest.(check bool) "compile-cache-hit counter" true
     (sched "compile-cache-hit" Trace.Counter)
 
-(* The cache is keyed on (physical program x tier x speculation
-   variant): interleaved creates at two tier settings must each compile
-   once — a tiered recompile can never evict (or be served by) the
-   baseline entry. *)
-let test_lru_tier_keying () =
+(* The cache is keyed on physical program identity alone: a plain
+   compiled engine, a speculation-drill engine (the taint-threading
+   variant) and an interpreter engine on one program share one entry, so
+   together they cost exactly one compile. *)
+let test_cache_shared_across_engine_kinds () =
   let p = Helpers.random_chain_program 424_203 in
   let h0, m0 = Engine.compile_cache_stats () in
-  for _ = 1 to 4 do
-    ignore (Engine.create ~tierup:0 p);
-    ignore (Engine.create ~tierup:8 p)
-  done;
+  ignore (Engine.create ~backend:Engine.Compiled p);
+  ignore
+    (Engine.create ~backend:Engine.Compiled
+       ~config:{ Engine.default_config with Engine.speculation = Some (Speculation.create ()) }
+       p);
+  ignore (Engine.create ~backend:Engine.Interp p);
   let h1, m1 = Engine.compile_cache_stats () in
-  Alcotest.(check int) "one compile per tier setting" 2 (m1 - m0);
-  Alcotest.(check int) "remaining creates were cache hits" 6 (h1 - h0);
-  (* different non-zero thresholds share the tiered closure program:
-     the threshold lives in the engine, not the compiled artifact *)
-  let h2, m2 = Engine.compile_cache_stats () in
-  ignore (Engine.create ~tierup:50 p);
-  let h3, m3 = Engine.compile_cache_stats () in
-  Alcotest.(check int) "tiered entry shared across thresholds" 0 (m3 - m2);
-  Alcotest.(check int) "threshold change is a cache hit" 1 (h3 - h2);
-  (* the tier-3 threshold also lives in the engine, not the artifact *)
-  let _, m4 = Engine.compile_cache_stats () in
-  ignore (Engine.create ~tierup:8 ~tier3:7 p);
-  let _, m5 = Engine.compile_cache_stats () in
-  Alcotest.(check int) "tier3 threshold change is a cache hit" 0 (m5 - m4);
-  (* the callfuse threshold is baked into the lowered closures, so a
-     different setting is a different cache entry *)
-  let _, m6 = Engine.compile_cache_stats () in
-  ignore (Engine.create ~tierup:8 ~callfuse:1 p);
-  ignore (Engine.create ~tierup:8 ~callfuse:1 p);
-  let _, m7 = Engine.compile_cache_stats () in
-  Alcotest.(check int) "callfuse setting keys its own entry" 1 (m7 - m6)
+  Alcotest.(check int) "one compile for all three engines" 1 (m1 - m0);
+  Alcotest.(check int) "the other two creates were cache hits" 2 (h1 - h0)
 
-(* Tier-up observability: promotion emits an engine:tierup span around
-   the fused lowering, a tierup-count sample at the crossing, and
-   fused-superblocks / segment-coverage counters (all "sched" category,
-   stripped from canonical traces, rendered by every sink). *)
-let test_trace_tierup_events () =
+(* Link observability: the first call into a function links it inside an
+   engine:link span, and while tracing the lowering reports
+   fused-superblocks and segment-coverage counters (all "sched"
+   category, stripped from canonical traces, rendered by every sink). *)
+let test_trace_link_events () =
   let p = Helpers.random_chain_program 777_002 in
   Trace.start ();
-  let engine = Engine.create ~tierup:1 p in
+  let engine = Engine.create p in
   List.iter
     (fun (entry, args) -> ignore (Engine.call engine entry args))
     (Helpers.standard_calls p);
@@ -657,97 +573,12 @@ let test_trace_tierup_events () =
         && e.Trace.ph = ph)
       events
   in
-  Alcotest.(check bool) "engine:tierup span opened" true
-    (sched "engine:tierup" Trace.Begin);
-  Alcotest.(check bool) "engine:tierup span closed" true
-    (sched "engine:tierup" Trace.End);
-  Alcotest.(check bool) "tierup-count counter" true
-    (sched "tierup-count" Trace.Counter);
+  Alcotest.(check bool) "engine:link span opened" true (sched "engine:link" Trace.Begin);
+  Alcotest.(check bool) "engine:link span closed" true (sched "engine:link" Trace.End);
   Alcotest.(check bool) "fused-superblocks counter" true
     (sched "fused-superblocks" Trace.Counter);
   Alcotest.(check bool) "segment-coverage counter" true
     (sched "segment-coverage" Trace.Counter)
-
-(* Call-seam fusion and tier-3 observability: fusing a seam emits an
-   engine:callfuse span and a call-fused-seams counter; tier-3 lowering
-   emits an engine:tier3 span, a tier3-promotions sample at the crossing and
-   a tier3-inst-coverage counter (all "sched" category). *)
-let test_trace_callfuse_tier3_events () =
-  let p = fused_call_prog () in
-  Trace.start ();
-  let engine = Engine.create ~tierup:1 ~callfuse:1 ~tier3:2 p in
-  for i = 1 to 6 do
-    ignore (Engine.call engine "f0" [ i ])
-  done;
-  Engine.trace_counters ~name:"probe" engine;
-  let events = Trace.stop () in
-  let sched name ph =
-    List.exists
-      (fun (e : Trace.event) ->
-        String.equal e.Trace.cat "sched" && String.equal e.Trace.name name
-        && e.Trace.ph = ph)
-      events
-  in
-  Alcotest.(check bool) "engine:callfuse span opened" true
-    (sched "engine:callfuse" Trace.Begin);
-  Alcotest.(check bool) "engine:callfuse span closed" true
-    (sched "engine:callfuse" Trace.End);
-  Alcotest.(check bool) "call-fused-seams counter" true
-    (sched "call-fused-seams" Trace.Counter);
-  Alcotest.(check bool) "engine:tier3 span opened" true
-    (sched "engine:tier3" Trace.Begin);
-  Alcotest.(check bool) "engine:tier3 span closed" true
-    (sched "engine:tier3" Trace.End);
-  Alcotest.(check bool) "tier3-promotions counter" true (sched "tier3-promotions" Trace.Counter);
-  Alcotest.(check bool) "tier3-inst-coverage counter" true
-    (sched "tier3-inst-coverage" Trace.Counter);
-  Alcotest.(check bool) "lowering stats sample" true
-    (sched "probe:lowering" Trace.Counter)
-
-(* The tier-up profile accessors: per-engine entry counts and promotion
-   state, and their off states on interp / --tierup 0 engines. *)
-let test_tierup_accessors () =
-  let p = Helpers.random_chain_program 555_001 in
-  let tiered = Engine.create ~tierup:2 p in
-  let baseline = Engine.create ~tierup:0 p in
-  let interp = Engine.create ~backend:Engine.Interp p in
-  List.iter
-    (fun (entry, args) ->
-      ignore (Engine.call tiered entry args);
-      ignore (Engine.call baseline entry args);
-      ignore (Engine.call interp entry args))
-    (Helpers.standard_calls p);
-  Alcotest.(check int) "threshold visible" 2 (Engine.tierup_threshold tiered);
-  Alcotest.(check int) "tierup 0 means off" 0 (Engine.tierup_threshold baseline);
-  Alcotest.(check int) "interp never counts" 0 (Engine.entry_count interp "f0");
-  Alcotest.(check int) "five top-level entries counted" 5
-    (Engine.entry_count tiered "f0");
-  Alcotest.(check bool) "promoted past threshold" true (Engine.promoted tiered "f0");
-  Alcotest.(check bool) "baseline never promotes" false
-    (Engine.promoted baseline "f0");
-  Alcotest.(check int) "unknown functions count zero" 0
-    (Engine.entry_count tiered "nosuch");
-  (* the new-tier accessors and their off states *)
-  let fused = Engine.create ~tierup:1 ~callfuse:1 ~tier3:3 p in
-  List.iter
-    (fun (entry, args) -> ignore (Engine.call fused entry args))
-    (Helpers.standard_calls p);
-  Alcotest.(check int) "tier3 threshold visible" 3 (Engine.tier3_threshold fused);
-  Alcotest.(check int) "callfuse threshold visible" 1 (Engine.callfuse_threshold fused);
-  Alcotest.(check bool) "tier3-promoted past threshold" true
-    (Engine.tier3_promoted fused "f0");
-  Alcotest.(check bool) "tier3 off by tierup 0" true
-    (Engine.tier3_threshold baseline = 0 && Engine.callfuse_threshold baseline = 0);
-  Alcotest.(check bool) "tiered default engine reports defaults" true
-    (Engine.tier3_threshold tiered = Engine.default_tier3 ()
-    && Engine.callfuse_threshold tiered = Engine.default_callfuse ());
-  Alcotest.(check bool) "interp never tier3-promotes" false
-    (Engine.tier3_promoted interp "f0");
-  Alcotest.(check bool) "interp backend stats empty" true
-    (Engine.backend_stats interp = []);
-  Alcotest.(check bool) "compiled backend stats populated" true
-    (List.mem_assoc "call-fused-seams" (Engine.backend_stats fused)
-    && List.mem_assoc "tier3-traces" (Engine.backend_stats fused))
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection plumbing                                          *)
@@ -778,48 +609,35 @@ let suite =
     Helpers.qcheck_to_alcotest (differential "forged-PAC drills agree" forged);
     Helpers.qcheck_to_alcotest (differential "out-of-fuel agrees" starved);
     Helpers.qcheck_to_alcotest differential_wild;
+    Helpers.qcheck_to_alcotest (differential_chain "superblock chains agree" base);
     Helpers.qcheck_to_alcotest
-      (differential_chain "superblock chains agree (tierup 1)" 1 base);
+      (differential_chain "superblock chains agree hardened" hardened);
     Helpers.qcheck_to_alcotest
-      (differential_chain "superblock chains agree hardened (tierup 1)" 1 hardened);
-    Helpers.qcheck_to_alcotest
-      (differential_chain "superblock chains agree drilled (tierup 1)" 1 drilled);
-    Helpers.qcheck_to_alcotest
-      (differential_chain "superblock chains agree (tierup 2)" 2 base);
+      (differential_chain "superblock chains agree drilled" drilled);
+    Helpers.qcheck_to_alcotest differential_chain_linked;
     Helpers.qcheck_to_alcotest differential_chain_starved;
-    Helpers.qcheck_to_alcotest differential_tier_settings;
+    Helpers.qcheck_to_alcotest (differential_calls "call-seam fusion agrees" base);
     Helpers.qcheck_to_alcotest
-      (differential_callfuse "call-seam fusion agrees" base);
+      (differential_calls "call-seam fusion agrees hardened" hardened);
     Helpers.qcheck_to_alcotest
-      (differential_callfuse "call-seam fusion agrees hardened" hardened);
-    Helpers.qcheck_to_alcotest
-      (differential_callfuse "call-seam fusion agrees drilled" drilled);
-    Helpers.qcheck_to_alcotest (differential_tier3 "tier3 chains agree" base);
-    Helpers.qcheck_to_alcotest
-      (differential_tier3 "tier3 chains agree hardened" hardened);
-    Helpers.qcheck_to_alcotest differential_all_tiers;
-    Helpers.qcheck_to_alcotest differential_callfuse_starved;
+      (differential_calls "call-seam fusion agrees drilled" drilled);
+    Helpers.qcheck_to_alcotest differential_calls_starved;
     Alcotest.test_case "fault mid-superblock rolls back" `Quick
       test_fault_mid_superblock;
-    Alcotest.test_case "fault mid-fused-call rolls back" `Quick
-      test_fault_mid_fused_call;
+    Alcotest.test_case "fault mid-fused-call rolls back" `Quick test_fault_mid_call;
     Alcotest.test_case "fuel sweep at call seams" `Quick
       test_fuel_sweep_at_call_seam;
     Alcotest.test_case "accumulator runs bit-exact" `Quick test_acc_runs;
-    Alcotest.test_case "recursive callee never fuses" `Quick
-      test_recursive_callee_not_fused;
-    Alcotest.test_case "tier-up deterministic across domains" `Quick
-      test_tierup_deterministic_across_jobs;
+    Alcotest.test_case "recursive callee never fuses" `Quick test_recursive_callee;
+    Alcotest.test_case "lazy lowering deterministic across domains" `Quick
+      test_lazy_lowering_deterministic_across_domains;
     Alcotest.test_case "kernel attack drills agree" `Quick test_attack_drills;
     Alcotest.test_case "interleaved programs compile once" `Quick
       test_interleaved_compile_once;
-    Alcotest.test_case "compile cache keyed per tier" `Quick test_lru_tier_keying;
+    Alcotest.test_case "compile cache shared across engine kinds" `Quick
+      test_cache_shared_across_engine_kinds;
     Alcotest.test_case "compile spans and cache counters traced" `Quick
       test_trace_compile_events;
-    Alcotest.test_case "tierup spans and counters traced" `Quick
-      test_trace_tierup_events;
-    Alcotest.test_case "callfuse and tier3 spans traced" `Quick
-      test_trace_callfuse_tier3_events;
-    Alcotest.test_case "tier-up profile accessors" `Quick test_tierup_accessors;
+    Alcotest.test_case "link spans and counters traced" `Quick test_trace_link_events;
     Alcotest.test_case "backend selection and names" `Quick test_backend_selection;
   ]

@@ -259,6 +259,47 @@ let test_canonical_jobs_invariant () =
   Alcotest.(check bool) "canonical stream non-empty" true (c1 <> []);
   Alcotest.(check (list string)) "canonical content identical at jobs 1 and 4" c1 c4
 
+(* ------------------- determinism across backends -------------------- *)
+
+(* Every deterministic sample an engine emits is simulated, and the two
+   backends are bit-exact, so a traced Measure suite plus one adaptive
+   Sim window must give the same canonical stream on either backend. *)
+let test_canonical_backend_invariant () =
+  let env = Helpers.env () in
+  let info = Pibe.Env.info env in
+  let training = Pibe.Env.lmbench_profile env in
+  let prog = info.Pibe_kernel.Gen.prog in
+  let spec =
+    Pibe.Pipeline.spec_of_config (Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses)
+  in
+  let sim_config = { Pibe_online.Sim.default_config with Pibe_online.Sim.requests_per_window = 25 } in
+  let run backend =
+    let previous = Pibe_cpu.Engine.default_backend () in
+    Pibe_cpu.Engine.set_default_backend backend;
+    Fun.protect ~finally:(fun () -> Pibe_cpu.Engine.set_default_backend previous)
+    @@ fun () ->
+    let evs =
+      collect (fun () ->
+          let engine = Pibe_cpu.Engine.create prog in
+          ignore
+            (Pibe.Measure.suite_latencies ~settings:Pibe.Measure.quick_settings engine
+               (Pibe_kernel.Workload.lmbench info));
+          match
+            Pibe_online.Sim.run ~config:sim_config ~adaptive:true ~prog ~spec ~training
+              ~phases:[ (Pibe_kernel.Workload.lmbench_phase info, 1) ]
+              ()
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "sim: %s" e)
+    in
+    Trace.canonical evs
+  in
+  let interp = run Pibe_cpu.Engine.Interp in
+  let compiled = run Pibe_cpu.Engine.Compiled in
+  Alcotest.(check bool) "canonical stream non-empty" true (interp <> []);
+  Alcotest.(check (list string)) "canonical content identical on both backends" interp
+    compiled
+
 let suite =
   [
     Alcotest.test_case "span nesting and balance" `Quick test_span_nesting;
@@ -277,4 +318,6 @@ let suite =
       test_canonical_jobs_invariant;
     Alcotest.test_case "prefix reuse keeps the canonical trace" `Quick
       test_prefix_reuse_canonical;
+    Alcotest.test_case "canonical content identical on both backends" `Quick
+      test_canonical_backend_invariant;
   ]

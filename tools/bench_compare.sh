@@ -35,19 +35,7 @@
 # x RUNS.  Record the null control next to any headline number
 # (BENCH_PR10.json does this for table1).
 #
-# Comparing execution-tier settings (PR 10 protocol): the dispatch
-# knobs --tierup/--callfuse/--tier3 must NOT be passed as extra args
-# when the OLD side predates them (an unknown flag exits 2 and the old
-# sample pool comes out empty).  Use the environment instead — both
-# sides read PIBE_TIERUP, and a NEW-side binary additionally reads
-# PIBE_CALLFUSE / PIBE_TIER3 while an old binary silently ignores
-# them, so
-#
-#   PIBE_CALLFUSE=256 PIBE_TIER3=4096 \
-#     tools/bench_compare.sh old/bench/main.exe _build/default/bench/main.exe table1
-#
-# compares old defaults against the new tiers under one interleaved
-# stream.  To build the OLD side without disturbing this tree:
+# To build the OLD side without disturbing this tree:
 #   git worktree add /tmp/pr9 <baseline-commit>
 #   (cd /tmp/pr9 && dune build bench/main.exe)
 # and pass /tmp/pr9/_build/default/bench/main.exe as OLD_EXE.

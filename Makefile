@@ -16,8 +16,11 @@ test:
 # lint (see `docs`), a pass-manager smoke run with inter-pass IR
 # validation on (traced, so the trace layer stays wired end to end), the
 # same validation on the paper-scale kernel, whose lax inlining grows
-# syscall_entry to about 2,000 blocks, a one-window
-# continuous-profiling smoke on the tiny kernel, the fleet,
+# syscall_entry to about 2,000 blocks, the on-disk profile round trip
+# (profile, then optimize from the written file), the two call-edge hook
+# consumers outside the collector (trace, perf), a malformed profile
+# that optimize must reject with exit status 1 and a FILE:LINE message,
+# a one-window continuous-profiling smoke on the tiny kernel, the fleet,
 # frontier and stale/fixpoint jobs-invariance smokes, a dispatch-floor
 # microbenchmark smoke (backend table prints end to end), and the
 # cross-backend parity smoke (see `parity`).
@@ -32,6 +35,16 @@ check:
 	dune exec bin/pibe_cli.exe -- pipeline --scale 3 \
 	  --passes "icp(budget=99.999),inline(budget=99.9999,lax),cleanup,retpoline,ret-retpoline,lvi-cfi" \
 	  --verify
+	dune exec bin/pibe_cli.exe -- profile --scale 1 --out $(SCRATCH)/profile.txt
+	dune exec bin/pibe_cli.exe -- optimize --scale 1 --profile $(SCRATCH)/profile.txt \
+	  --out $(SCRATCH)/image.ir
+	dune exec bin/pibe_cli.exe -- trace --scale 1 read
+	dune exec bin/pibe_cli.exe -- perf --scale 1 --op read
+	printf 'profile {\n  direct 1 = -5\n}\n' > $(SCRATCH)/bad_profile.txt
+	status=0; dune exec bin/pibe_cli.exe -- optimize --scale 1 \
+	  --profile $(SCRATCH)/bad_profile.txt --out $(SCRATCH)/bad_image.ir \
+	  2> $(SCRATCH)/bad_profile.err || status=$$?; test $$status -eq 1
+	grep -qx '$(SCRATCH)/bad_profile.txt:2: negative count -5' $(SCRATCH)/bad_profile.err
 	dune exec bin/pibe_cli.exe -- online --scale 1 --windows 1 --requests 30
 	$(MAKE) bench-smoke-fleet
 	$(MAKE) bench-smoke-frontier

@@ -322,27 +322,32 @@ let optimize_cmd_impl seed scale defenses budget profile_path out =
     prerr_endline e;
     1
   | Ok d ->
-    let info = gen ~seed ~scale in
-    let ic = open_in profile_path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let profile = Pibe_profile.Profile.of_string text in
-    let config =
-      {
-        Pibe.Config.defenses = d;
-        opt = Pibe.Config.Full { icp_budget = budget; inline_budget = budget; lax = true };
-      }
-    in
-    let built = Pibe.Pipeline.build info.Pibe_kernel.Gen.prog profile config in
-    let oc = open_out out in
-    output_string oc
-      (Pibe_ir.Printer.program_to_string built.Pibe.Pipeline.image.Pibe_harden.Pass.prog);
-    close_out oc;
-    Printf.printf "wrote %s (%d functions, %d bytes of image)\n" out
-      (Pibe_ir.Program.func_count built.Pibe.Pipeline.image.Pibe_harden.Pass.prog)
-      (Pibe_harden.Pass.image_bytes built.Pibe.Pipeline.image);
-    0
+    match
+      Pibe_profile.Profile.of_string (In_channel.with_open_text profile_path In_channel.input_all)
+    with
+    | exception Sys_error e ->
+      prerr_endline e;
+      1
+    | exception Pibe_ir.Parser.Parse_error { line; message } ->
+      Printf.eprintf "%s:%d: %s\n" profile_path line message;
+      1
+    | profile ->
+      let info = gen ~seed ~scale in
+      let config =
+        {
+          Pibe.Config.defenses = d;
+          opt = Pibe.Config.Full { icp_budget = budget; inline_budget = budget; lax = true };
+        }
+      in
+      let built = Pibe.Pipeline.build info.Pibe_kernel.Gen.prog profile config in
+      let oc = open_out out in
+      output_string oc
+        (Pibe_ir.Printer.program_to_string built.Pibe.Pipeline.image.Pibe_harden.Pass.prog);
+      close_out oc;
+      Printf.printf "wrote %s (%d functions, %d bytes of image)\n" out
+        (Pibe_ir.Program.func_count built.Pibe.Pipeline.image.Pibe_harden.Pass.prog)
+        (Pibe_harden.Pass.image_bytes built.Pibe.Pipeline.image);
+      0
 
 let perf seed scale defenses budget op_name topn engine =
   with_engine engine @@ fun () ->
@@ -386,19 +391,22 @@ let trace seed scale syscall a0 a1 engine =
   with_engine engine @@ fun () ->
   let info = gen ~seed ~scale in
   let depth = ref 0 in
+  (* the hook names callees through the engine it runs in, set below *)
+  let self = ref None in
   let config =
     {
       Pibe_cpu.Engine.default_config with
-      Pibe_cpu.Engine.on_edge =
+      Pibe_cpu.Engine.on_call =
         Some
-          (fun e ->
+          (fun ~site:_ ~callee ->
             incr depth;
             Printf.printf "%s-> %s\n" (String.make (2 * !depth) ' ')
-              e.Pibe_cpu.Engine.callee);
+              (Pibe_cpu.Engine.func_name (Option.get !self) callee));
       on_exit = Some (fun _ -> if !depth > 0 then decr depth);
     }
   in
   let engine = Pibe_cpu.Engine.create ~config info.Pibe_kernel.Gen.prog in
+  self := Some engine;
   (match Pibe_kernel.Syscalls.nr info.Pibe_kernel.Gen.syscalls syscall with
   | nr ->
     Printf.printf "syscall_entry(%s=%d, %d, %d)\n" syscall nr a0 a1;

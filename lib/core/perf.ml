@@ -45,17 +45,18 @@ let profile config prog ~run =
     | (running, _) :: _ ->
       (acc_of t running).self <- (acc_of t running).self + (now - !last_stamp)
     | [] ->
-      (* the top-level entry function is not announced through on_edge *)
+      (* the top-level entry function is not announced through on_call *)
       let a = acc_of t "[entry]" in
       a.self <- a.self + (now - !last_stamp));
     last_stamp := now
   in
-  let on_edge (e : Engine.edge_event) =
+  let on_call ~site:_ ~callee =
     let now = cycles () in
     charge_running now;
-    let a = acc_of t e.Engine.callee in
+    let name = Engine.func_name (Option.get !engine_ref) callee in
+    let a = acc_of t name in
     a.calls <- a.calls + 1;
-    stack := (e.Engine.callee, now) :: !stack
+    stack := (name, now) :: !stack
   in
   let on_exit fname =
     let now = cycles () in
@@ -65,11 +66,11 @@ let profile config prog ~run =
       (acc_of t top).inclusive <- (acc_of t top).inclusive + (now - entered);
       stack := rest
     | _ ->
-      (* top-level entries are not announced through on_edge; ignore the
+      (* top-level entries are not announced through on_call; ignore the
          unmatched exit *)
       ()
   in
-  let config = { config with Engine.on_edge = Some on_edge; on_exit = Some on_exit } in
+  let config = { config with Engine.on_call = Some on_call; on_exit = Some on_exit } in
   let engine = Engine.create ~config prog in
   engine_ref := Some engine;
   run engine;

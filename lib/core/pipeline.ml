@@ -20,14 +20,7 @@ module Trace = Pibe_trace.Trace
 let profile prog ~run =
   Trace.span ~cat:"core" "pipeline:profile" (fun () ->
       let collector = Pibe_profile.Collector.create prog in
-      let config =
-        {
-          Pibe_cpu.Engine.default_config with
-          Pibe_cpu.Engine.on_edge = Some (Pibe_profile.Collector.hook collector);
-          on_entry = Some (Pibe_profile.Collector.hook_entry collector);
-        }
-      in
-      let engine = Pibe_cpu.Engine.create ~config prog in
+      let engine = Pibe_profile.Collector.engine collector in
       run engine;
       Pibe_cpu.Engine.trace_counters ~cat:"core" ~name:"engine:profile-run" engine;
       Pibe_profile.Collector.lift collector)
@@ -106,14 +99,11 @@ let profile_built built ~run =
   Trace.span ~cat:"core" "pipeline:profile-built" (fun () ->
       let prog = built.image.Pibe_harden.Pass.prog in
       let collector = Pibe_profile.Collector.create ~provenance:built.provenance prog in
-      let config =
-        {
-          (Pibe_harden.Pass.engine_config built.image) with
-          Pibe_cpu.Engine.on_edge = Some (Pibe_profile.Collector.hook collector);
-          on_entry = Some (Pibe_profile.Collector.hook_entry collector);
-        }
+      let engine =
+        Pibe_profile.Collector.engine
+          ~config:(Pibe_harden.Pass.engine_config built.image)
+          collector
       in
-      let engine = Pibe_cpu.Engine.create ~config prog in
       run engine;
       Pibe_cpu.Engine.trace_counters ~cat:"core" ~name:"engine:profile-built-run" engine;
       let p = Pibe_profile.Collector.lift collector in

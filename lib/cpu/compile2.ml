@@ -881,15 +881,15 @@ let direct_call_frame (callee2 : cfunc2) (args : operand array) :
 
 let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
     ~(args : operand array) ~site : iexec =
-  let caller_id = caller.id and caller_name = caller.f.fname in
+  let caller_id = caller.id and site_id = site.site_id in
   if callee_id < 0 then
-    (* Unknown callee: counters, cycles and the edge event still happen
-       before the failure, exactly like the interpreter's [lookup]. *)
+    (* Unknown callee: counters and cycles still happen before the
+       failure, exactly like the interpreter's [lookup]; no edge is
+       reported. *)
     fun t ->
       bump_inst t;
       t.ctrs.calls <- t.ctrs.calls + 1;
       charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-      emit_edge t site caller_name callee_name Edge_direct;
       raise (Runtime_error ("call to unknown function @" ^ callee_name))
   else begin
     let callee2 = c2by_id.(callee_id) in
@@ -902,7 +902,7 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
         bump_inst t;
         t.ctrs.calls <- t.ctrs.calls + 1;
         charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-        emit_edge t site caller_name callee_name Edge_direct;
+        emit_call t site_id callee_id;
         enter_code t callee_cf;
         Rsb.push t.trsb caller_id;
         (* Save the caller's activation, install the callee's, restore on
@@ -937,7 +937,7 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
         bump_inst t;
         t.ctrs.calls <- t.ctrs.calls + 1;
         charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-        emit_edge t site caller_name callee_name Edge_direct;
+        emit_call t site_id callee_id;
         enter_code t callee_cf;
         Rsb.push t.trsb caller_id;
         let regs = t.cur_regs in
@@ -962,11 +962,10 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
 
 let cicall ~spec ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~site
     ~slot : iexec =
-  let caller_id = caller.id and caller_name = caller.f.fname in
+  let caller_id = caller.id and site_id = site.site_id in
   let ofp = cop fptr in
   let argv = Array.map cop args in
   let nargs = Array.length argv in
-  let kind = if asm then Edge_asm else Edge_indirect in
   let ftaint : int option array -> int option =
     if spec && not asm then
       match fptr with
@@ -983,14 +982,13 @@ let cicall ~spec ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array
     let depth = t.cur_depth and rt = t.cur_ret_to in
     let v = ofp regs in
     let target_id = icall_resolve t v in
-    let target_name = t.fptr_table.(v) in
     let fptr_taint = ftaint taint in
     (match t.cfg.fwd_override with
-    | Some hook when not asm -> charge t (hook ~site ~target:target_name)
+    | Some hook when not asm -> charge t (hook ~site ~target:t.fptr_table.(v))
     | Some _ | None ->
       let protection = if asm then Protection.F_none else t.fwd_prots.(slot) in
       indirect_transfer t ~site ~target:target_id ~fptr_taint ~protection);
-    emit_edge t site caller_name target_name kind;
+    emit_call t site_id target_id;
     let callee2 = c2by_id.(target_id) in
     let callee_cf = callee2.c2 in
     enter_code t callee_cf;

@@ -200,7 +200,7 @@ let call t name args =
       | None -> raise (Runtime_error ("call to unknown function @" ^ name)))
   in
   (* the kernel-entry boundary is observable (perf sees the syscall
-     dispatch), unlike in-program transfers which go through [on_edge] *)
+     dispatch), unlike in-program transfers which go through [on_call] *)
   (match t.cfg.on_entry with None -> () | Some f -> f name);
   if t.cfg.rsb_refill then begin
     (* stuffing: 16 dummy pushes at the entry point *)

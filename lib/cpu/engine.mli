@@ -13,7 +13,8 @@
     backward protection) are computed once, and register frames come from
     a per-depth pool — so the per-call hot path performs no string
     hashing, no hashtable probes, and no allocation.  Strings survive only
-    at the API edges (entry points, edge events, traces, errors).
+    at the API edges (entry points, traces, errors); the call-edge hook
+    sees ints.
 
     {2 Backends and the parity contract}
 
@@ -58,8 +59,8 @@
     counters.
 
     The engine doubles as
-    - the {e profiling binary}: [on_edge] observes every resolved call
-      edge (the simulated LBR feed), and
+    - the {e profiling binary}: [on_call] observes every resolved call
+      edge as a (site id, callee id) pair (the simulated LBR feed), and
     - the {e attack testbed}: with [speculation] set, attacker-visible
       transient entries are recorded at unprotected indirect branches. *)
 
@@ -81,18 +82,6 @@ val set_default_backend : backend -> unit
 
 val default_backend : unit -> backend
 
-type edge_kind =
-  | Edge_direct
-  | Edge_indirect
-  | Edge_asm
-
-type edge_event = {
-  site : Types.site;
-  caller : string;
-  callee : string;
-  kind : edge_kind;
-}
-
 type config = {
   fwd_protection : Types.site -> Protection.forward;
   bwd_protection : string -> Protection.backward;
@@ -111,15 +100,22 @@ type config = {
   icache_bytes : int;  (** 0 disables the i-cache model *)
   footprint : Types.func -> int;  (** code footprint used by the i-cache *)
   record_trace : bool;
-  on_edge : (edge_event -> unit) option;
+  on_call : (site:int -> callee:int -> unit) option;
+      (** called on every resolved in-program call — direct, indirect
+          and asm — with the call site's [site_id] and the callee's
+          interned id (name it with {!func_name}); the simulated LBR
+          feed.  It runs after the transfer's prediction and cost and
+          before the callee's i-cache fill.  A call to a function the
+          program lacks reports nothing: it fails with [Runtime_error]
+          on both backends. *)
   on_entry : (string -> unit) option;
       (** called on every top-level {!call} with the entered function —
           the kernel-entry (syscall) boundary, which a hardware profiler
           observes even when every in-kernel call has been inlined away;
-          in-program transfers go through [on_edge] instead *)
+          in-program transfers go through [on_call] instead *)
   on_exit : (string -> unit) option;
       (** called when a function activation returns (profiler support;
-          pairs with the entry visible through [on_edge]) *)
+          pairs with the entry visible through [on_call]) *)
   speculation : Speculation.t option;
   fuel : int;  (** interpreter step budget; guards against runaway code *)
   extra_call_cycles : int;

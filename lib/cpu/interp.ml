@@ -105,8 +105,9 @@ and exec_inst t cf regs taint spec_on depth i =
   | CCall { dst; callee; callee_id; args; site } ->
     t.ctrs.calls <- t.ctrs.calls + 1;
     charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-    emit_edge t site cf.f.fname callee Edge_direct;
-    invoke t cf regs taint spec_on depth ~dst ~callee:(lookup t callee_id callee) ~args
+    let callee = lookup t callee_id callee in
+    emit_call t site.site_id callee_id;
+    invoke t cf regs taint spec_on depth ~dst ~callee ~args
   | CIcall { dst; fptr; args; site; slot = _ } ->
     do_icall t cf regs taint spec_on depth ~dst ~fptr ~args ~site ~asm:false
   | CAsm_icall { fptr; site } ->
@@ -117,14 +118,13 @@ and do_icall t cf regs taint spec_on depth ~dst ~fptr ~args ~site ~asm =
   charge t t.cfg.extra_icall_cycles;
   let v = operand_value regs fptr in
   let target_id = icall_resolve t v in
-  let target_name = t.fptr_table.(v) in
   let fptr_taint = if spec_on then operand_taint taint fptr else None in
   (match t.cfg.fwd_override with
-  | Some hook when not asm -> charge t (hook ~site ~target:target_name)
+  | Some hook when not asm -> charge t (hook ~site ~target:t.fptr_table.(v))
   | Some _ | None ->
     let protection = if asm then Protection.F_none else t.cfg.fwd_protection site in
     indirect_transfer t ~site ~target:target_id ~fptr_taint ~protection);
-  emit_edge t site cf.f.fname target_name (if asm then Edge_asm else Edge_indirect);
+  emit_call t site.site_id target_id;
   invoke t cf regs taint spec_on depth ~dst ~callee:(t.by_id.(target_id)) ~args
 
 and invoke t cf regs taint spec_on depth ~dst ~(callee : cfunc) ~(args : operand array) =

@@ -18,18 +18,6 @@ type backend =
   | Interp  (** reference tree-walking interpreter *)
   | Compiled  (** closure-threaded compiled backend *)
 
-type edge_kind =
-  | Edge_direct
-  | Edge_indirect
-  | Edge_asm
-
-type edge_event = {
-  site : site;
-  caller : string;
-  callee : string;
-  kind : edge_kind;
-}
-
 type config = {
   fwd_protection : site -> Protection.forward;
   bwd_protection : string -> Protection.backward;
@@ -38,7 +26,7 @@ type config = {
   icache_bytes : int;
   footprint : func -> int;
   record_trace : bool;
-  on_edge : (edge_event -> unit) option;
+  on_call : (site:int -> callee:int -> unit) option;
   on_entry : (string -> unit) option;
   on_exit : (string -> unit) option;
   speculation : Speculation.t option;
@@ -58,7 +46,7 @@ let default_config =
     icache_bytes = 32 * 1024;
     footprint = Layout.func_size;
     record_trace = false;
-    on_edge = None;
+    on_call = None;
     on_entry = None;
     on_exit = None;
     speculation = None;
@@ -93,7 +81,7 @@ type cinst =
   | CObserve of operand
   | CCall of {
       dst : reg option;
-      callee : string;  (* kept for edges and error messages *)
+      callee : string;  (* kept for the unknown-function error message *)
       callee_id : int;  (* -1 when the name does not resolve *)
       args : operand array;
       site : site;
@@ -335,10 +323,14 @@ let operand_taint taint = function
   | Imm _ -> None
   | Reg r -> taint.(r)
 
-let emit_edge t site caller callee kind =
-  match t.cfg.on_edge with
+(* Reports one resolved call edge to the profiling hook: the site id and
+   the callee's interned id, never names, so a hooked run allocates
+   nothing per edge.  Only resolved callees are reported — an unknown
+   function's id of -1 would alias [top_id]. *)
+let emit_call t site callee =
+  match t.cfg.on_call with
   | None -> ()
-  | Some f -> f { site; caller; callee; kind }
+  | Some f -> f ~site ~callee
 
 let charge t c = t.cyc <- t.cyc + c
 

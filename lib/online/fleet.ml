@@ -119,14 +119,7 @@ let replay ~requests ~image ~(phase : Workload.phase) rng =
 
 let profile_window ~requests ~prog ~(phase : Workload.phase) rng =
   let collector = Collector.create prog in
-  let pconfig =
-    {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
-  in
-  let profiler = Engine.create ~config:pconfig prog in
+  let profiler = Collector.engine collector in
   for _ = 1 to requests do
     phase.Workload.request profiler rng
   done;

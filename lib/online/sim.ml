@@ -65,14 +65,7 @@ type outcome = {
 let run_window ~cfg ~prog ~image ~provenance ~(phase : Workload.phase) rng =
   if cfg.profile_on_deployed then begin
     let collector = Collector.create ~provenance image.H.prog in
-    let dconfig =
-      {
-        (H.engine_config image) with
-        Engine.on_edge = Some (Collector.hook collector);
-        on_entry = Some (Collector.hook_entry collector);
-      }
-    in
-    let deployed = Engine.create ~config:dconfig image.H.prog in
+    let deployed = Collector.engine ~config:(H.engine_config image) collector in
     for _ = 1 to cfg.requests_per_window do
       phase.Workload.request deployed rng
     done;
@@ -87,14 +80,7 @@ let run_window ~cfg ~prog ~image ~provenance ~(phase : Workload.phase) rng =
     done;
     Engine.trace_counters ~cat:"online" ~name:"window-deployed" deployed;
     let collector = Collector.create prog in
-    let pconfig =
-      {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
-    in
-    let profiler = Engine.create ~config:pconfig prog in
+    let profiler = Collector.engine collector in
     for _ = 1 to cfg.requests_per_window do
       phase.Workload.request profiler rng_profile
     done;
@@ -195,14 +181,7 @@ let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~trai
 
 let training_profile ?(config = default_config) ~prog ~phases () =
   let collector = Collector.create prog in
-  let pconfig =
-    {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
-  in
-  let engine = Engine.create ~config:pconfig prog in
+  let engine = Collector.engine collector in
   let master = Rng.create config.seed in
   List.iter
     (fun ((phase : Workload.phase), nwindows) ->

@@ -18,30 +18,28 @@ let zero_stats =
     recovered_weight = 0;
   }
 
-type t = {
-  prog : Program.t;
+(* ------------------- per-program address tables ------------------- *)
+
+(* Everything the hook and the lift read about the profiled image, built
+   once per physical program: the layout symbol table, the site identity
+   map, and the two int arrays the hook resolves an engine edge with —
+   site id -> call-site address (site ids are dense; -1 marks an id no
+   instruction carries) and engine function id -> entry address (engine
+   ids are positions in [Program.layout_order], the order
+   [Layout.build] also walks). *)
+type tables = {
+  tprog : Program.t;
   layout : Layout.t;
-  pairs : (int * int, int) Hashtbl.t;
-  lbr : Lbr.t;
-  (* site identity map, built once: site_id -> (origin, is the site a
-     direct call?).  On a pristine program origin = site_id; on an
-     optimized one clones report their inherited origin. *)
+  (* site_id -> (origin, is the site a direct call?).  On a pristine
+     program origin = site_id; on an optimized one clones report their
+     inherited origin. *)
   site_info : (int, int * bool) Hashtbl.t;
-  provenance : Provenance.t option;
-  (* top-level (kernel-entry) invocations, observed through
-     [Engine.on_entry]: the one entry signal that survives total
-     inlining, and the anchor of the carry-forward scaling *)
-  external_entries : (string, int) Hashtbl.t;
-  mutable last_stats : lift_stats;
+  from_addrs : int array;
+  to_addrs : int array;
 }
 
-let create ?provenance prog =
+let build_tables prog =
   let layout = Layout.build prog in
-  let pairs = Hashtbl.create 4096 in
-  let drain (r : Lbr.record) =
-    let key = (r.Lbr.from_addr, r.Lbr.to_addr) in
-    Hashtbl.replace pairs key (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key))
-  in
   let site_info = Hashtbl.create 1024 in
   Program.iter_funcs prog (fun f ->
       Func.iter_insts f (fun _ i ->
@@ -51,31 +49,183 @@ let create ?provenance prog =
           | Types.Icall { site; _ } | Types.Asm_icall { site; _ } ->
             Hashtbl.replace site_info site.Types.site_id (site.Types.site_origin, false)
           | Types.Assign _ | Types.Store _ | Types.Observe _ -> ()));
-  {
-    prog;
-    layout;
-    pairs;
-    lbr = Lbr.create ~drain ();
+  let from_addrs = Array.make (1 + Hashtbl.fold (fun id _ m -> max id m) site_info (-1)) (-1) in
+  Hashtbl.iter
+    (fun id _ -> if id >= 0 then from_addrs.(id) <- Layout.site_addr layout id)
     site_info;
+  let to_addrs =
+    Array.of_list (List.map (Layout.func_addr layout) (Program.layout_order prog))
+  in
+  { tprog = prog; layout; site_info; from_addrs; to_addrs }
+
+(* A small LRU over physically distinct programs, MRU first, modelled on
+   the engine's compile cache: the online loop profiles the same pristine
+   kernel every window, and the fleet creates collectors from pool
+   workers, hence the mutex.  A miss builds outside the lock (the work is
+   pure) and adopts a racing domain's finished entry over its own.  Which
+   domain builds first depends on scheduling, so the build span lives in
+   the "sched" category that canonical traces strip. *)
+let tables_capacity = 16
+let tables_lock = Mutex.create ()
+let tables_cache : tables list ref = ref []
+
+let take_tables prog entries =
+  let rec go acc = function
+    | [] -> None
+    | e :: rest when e.tprog == prog -> Some (e, List.rev_append acc rest)
+    | e :: rest -> go (e :: acc) rest
+  in
+  go [] entries
+
+let tables_for prog =
+  Mutex.lock tables_lock;
+  match take_tables prog !tables_cache with
+  | Some (e, others) ->
+    tables_cache := e :: others;
+    Mutex.unlock tables_lock;
+    e
+  | None ->
+    Mutex.unlock tables_lock;
+    let fresh = Trace.span ~cat:"sched" "collector:tables" (fun () -> build_tables prog) in
+    Mutex.lock tables_lock;
+    let e, others =
+      match take_tables prog !tables_cache with
+      | Some (e, others) -> (e, others)
+      | None -> (fresh, !tables_cache)
+    in
+    tables_cache := List.filteri (fun i _ -> i < tables_capacity) (e :: others);
+    Mutex.unlock tables_lock;
+    e
+
+(* ------------------------ pair aggregation ------------------------- *)
+
+(* Drained (from, to) pair counts.  A pair whose addresses both lie in
+   [0, 2^31) — every pair the engine hook records, since layouts start at
+   0x1000 — packs into one non-negative int key, counted in an
+   open-addressing table over two int arrays, so counting it allocates
+   nothing.  Any other pair (raw PMU-style samples) keeps a tuple-keyed
+   table. *)
+module Pairs = struct
+  type t = {
+    mutable keys : int array;  (* packed key; -1 marks an empty slot *)
+    mutable counts : int array;
+    mutable shift : int;  (* 63 - log2 (capacity) *)
+    mutable used : int;
+    wide : (int * int, int) Hashtbl.t;
+  }
+
+  let addr_bits = 31
+  let addr_mask = (1 lsl addr_bits) - 1
+  let initial_bits = 12
+
+  let create () =
+    let cap = 1 lsl initial_bits in
+    {
+      keys = Array.make cap (-1);
+      counts = Array.make cap 0;
+      shift = 63 - initial_bits;
+      used = 0;
+      wide = Hashtbl.create 16;
+    }
+
+  (* Fibonacci hashing: the top bits of the product depend on every key
+     bit, so packed keys that differ only in [from] spread as well as
+     those that differ in [to]. *)
+  let[@inline] home t k = (k * 0x4F1BBCDCBFA53E0B) lsr t.shift
+
+  (* The slot holding [k], or the empty slot where it belongs. *)
+  let rec probe keys mask k i =
+    let s = Array.unsafe_get keys i in
+    if s = k || s = -1 then i else probe keys mask k ((i + 1) land mask)
+
+  let rec insert t k c =
+    let i = probe t.keys (Array.length t.keys - 1) k (home t k) in
+    if Array.unsafe_get t.keys i = k then
+      Array.unsafe_set t.counts i (Array.unsafe_get t.counts i + c)
+    else begin
+      Array.unsafe_set t.keys i k;
+      Array.unsafe_set t.counts i c;
+      t.used <- t.used + 1;
+      if 2 * t.used > Array.length t.keys then grow t
+    end
+
+  and grow t =
+    let keys = t.keys and counts = t.counts in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap (-1);
+    t.counts <- Array.make cap 0;
+    t.shift <- t.shift - 1;
+    t.used <- 0;
+    Array.iteri (fun i k -> if k >= 0 then insert t k counts.(i)) keys
+
+  let add t ~from_addr ~to_addr =
+    if from_addr lor to_addr >= 0 && from_addr lor to_addr <= addr_mask then
+      insert t ((from_addr lsl addr_bits) lor to_addr) 1
+    else
+      let key = (from_addr, to_addr) in
+      Hashtbl.replace t.wide key (1 + Option.value ~default:0 (Hashtbl.find_opt t.wide key))
+
+  let iter f t =
+    Array.iteri
+      (fun i k -> if k >= 0 then f (k lsr addr_bits) (k land addr_mask) t.counts.(i))
+      t.keys;
+    Hashtbl.iter (fun (from_addr, to_addr) c -> f from_addr to_addr c) t.wide
+end
+
+(* ---------------------------- collector ---------------------------- *)
+
+type t = {
+  tables : tables;
+  pairs : Pairs.t;
+  lbr : Lbr.t;
+  provenance : Provenance.t option;
+  (* top-level (kernel-entry) invocations, observed through
+     [Engine.on_entry]: the one entry signal that survives total
+     inlining, and the anchor of the carry-forward scaling *)
+  external_entries : (string, int ref) Hashtbl.t;
+  mutable last_stats : lift_stats;
+}
+
+let create ?provenance prog =
+  let pairs = Pairs.create () in
+  {
+    tables = tables_for prog;
+    pairs;
+    lbr = Lbr.create ~drain:(Pairs.add pairs) ();
     provenance;
     external_entries = Hashtbl.create 64;
     last_stats = zero_stats;
   }
 
-let hook t (e : Pibe_cpu.Engine.edge_event) =
-  (* The profiling run observes addresses, as LBR hardware would. *)
-  match
-    ( Layout.site_addr t.layout e.Pibe_cpu.Engine.site.Types.site_id,
-      Layout.func_addr t.layout e.Pibe_cpu.Engine.callee )
-  with
-  | from_addr, to_addr -> Lbr.record t.lbr ~from_addr ~to_addr
-  | exception Not_found -> ()
+(* The profiling run observes addresses, as LBR hardware would.  [callee]
+   is an id of the engine [engine] created on this collector's program,
+   so it always indexes [to_addrs]; a site id outside the dense range
+   (only a hand-written image can carry a negative one) goes through the
+   layout table. *)
+let record_call t ~site ~callee =
+  let tb = t.tables in
+  let from_addr =
+    if site >= 0 && site < Array.length tb.from_addrs then Array.unsafe_get tb.from_addrs site
+    else match Layout.site_addr tb.layout site with a -> a | exception Not_found -> -1
+  in
+  if from_addr >= 0 then Lbr.record t.lbr ~from_addr ~to_addr:tb.to_addrs.(callee)
 
 let record_raw t ~from_addr ~to_addr = Lbr.record t.lbr ~from_addr ~to_addr
 
 let hook_entry t func =
-  Hashtbl.replace t.external_entries func
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.external_entries func))
+  match Hashtbl.find t.external_entries func with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add t.external_entries func (ref 1)
+
+let engine ?(config = Pibe_cpu.Engine.default_config) t =
+  Pibe_cpu.Engine.create
+    ~config:
+      {
+        config with
+        Pibe_cpu.Engine.on_call = Some (record_call t);
+        on_entry = Some (hook_entry t);
+      }
+    t.tables.tprog
 
 let bump tbl key count =
   Hashtbl.replace tbl key (count + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -156,17 +306,18 @@ let lift t =
   let site_total : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   let site_targets : (int, (string, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
   let entry_total : (string, int) Hashtbl.t = Hashtbl.create 512 in
-  Hashtbl.iter (fun func count -> bump entry_total func count) t.external_entries;
+  Hashtbl.iter (fun func count -> bump entry_total func !count) t.external_entries;
+  let { layout; site_info; _ } = t.tables in
   let dropped = ref 0 in
   let lifted = ref 0 in
-  Hashtbl.iter
-    (fun (from_addr, to_addr) count ->
-      match (Layout.site_at t.layout from_addr, Layout.func_at t.layout to_addr) with
-      | Some site_id, Some target when Hashtbl.mem t.site_info site_id ->
+  Pairs.iter
+    (fun from_addr to_addr count ->
+      match (Layout.site_at layout from_addr, Layout.func_at layout to_addr) with
+      | Some site_id, Some target when Hashtbl.mem site_info site_id ->
         lifted := !lifted + count;
         bump site_total site_id count;
         bump entry_total target count;
-        let _, is_direct = Hashtbl.find t.site_info site_id in
+        let _, is_direct = Hashtbl.find site_info site_id in
         if not is_direct then begin
           let vp =
             match Hashtbl.find_opt site_targets site_id with
@@ -193,7 +344,7 @@ let lift t =
   (* 3. observed sites, keyed by origin *)
   Hashtbl.iter
     (fun site_id count ->
-      let origin, is_direct = Hashtbl.find t.site_info site_id in
+      let origin, is_direct = Hashtbl.find site_info site_id in
       if is_direct then add_direct_resolved ~origin ~count
       else
         Hashtbl.iter
@@ -246,4 +397,6 @@ let stats t = t.last_stats
 
 let raw_pairs t =
   Lbr.flush t.lbr;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pairs [])
+  let acc = ref [] in
+  Pairs.iter (fun from_addr to_addr c -> acc := ((from_addr, to_addr), c) :: !acc) t.pairs;
+  List.sort compare !acc

@@ -1,4 +1,4 @@
-(** The profiling-phase plumbing: engine edge events -> binary addresses ->
+(** The profiling-phase plumbing: engine call edges -> binary addresses ->
     LBR ring -> address-pair aggregation -> lifted {!Profile.t}.
 
     Mirrors the paper's §7 flow: the profiling binary records edges at the
@@ -18,7 +18,16 @@
 
     Address pairs that resolve to no known site or function (stale
     addresses from a mismatched layout, raw-PMU noise) are dropped, and
-    the drop is counted: see {!lift_stats}. *)
+    the drop is counted: see {!lift_stats}.
+
+    Collection runs at engine speed.  The engine reports each call edge
+    as a (site id, callee id) int pair; {!create} resolves both to
+    addresses through two int arrays, the ring holds int pairs, and the
+    drain counts them in an int-keyed table, so a hooked run allocates
+    nothing per edge.  The layout, the site identity map and both
+    arrays depend only on the program, so they are built once per
+    physical program and shared, through a small domain-safe LRU, by
+    every collector created on it. *)
 
 type t
 
@@ -36,18 +45,26 @@ type lift_stats = {
 }
 
 val create : ?provenance:Provenance.t -> Pibe_ir.Program.t -> t
-(** Builds the layout symbol table for the profiling image, its
-    site-id→origin map, and an empty aggregation.  [provenance] is the
+(** An empty aggregation over the profiling image's address tables (its
+    layout symbol table, site-id→origin map, and the site→address and
+    function→address arrays), built on the first collector for that
+    program and reused by later ones.  [provenance] is the
     inline/promotion tree recorded when the image was built; omit it for
     pristine images. *)
 
-val hook_entry : t -> string -> unit
-(** Record one top-level (kernel-entry) invocation of a function; wire as
-    [Engine.on_entry].  These entries survive total inlining — no call
-    edge is needed — and anchor the carry-forward scaling of the lift. *)
+val engine : ?config:Pibe_cpu.Engine.config -> t -> Pibe_cpu.Engine.t
+(** The profiling binary: an engine on this collector's own program,
+    running [config] (default {!Pibe_cpu.Engine.default_config}) with
+    [on_call] and [on_entry] replaced by the collector's hooks.  Engine
+    ids are only meaningful for the program they were interned from,
+    which is why the call-edge hook is installed here and nowhere
+    else. *)
 
-val hook : t -> Pibe_cpu.Engine.edge_event -> unit
-(** Install as the engine's [on_edge] callback. *)
+val hook_entry : t -> string -> unit
+(** Record one top-level (kernel-entry) invocation of a function ({!engine}
+    installs it as [on_entry]).  These entries survive total inlining —
+    no call edge is needed — and anchor the carry-forward scaling of the
+    lift. *)
 
 val record_raw : t -> from_addr:int -> to_addr:int -> unit
 (** Feed a raw address pair into the ring, bypassing the engine hook —

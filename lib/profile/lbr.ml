@@ -1,32 +1,27 @@
-type record = {
-  from_addr : int;
-  to_addr : int;
-}
-
 type t = {
-  ring : record array;
+  froms : int array;
+  tos : int array;
   depth : int;
-  drain : record -> unit;
+  drain : from_addr:int -> to_addr:int -> unit;
   mutable fill : int;
   mutable total : int;
 }
 
-let dummy = { from_addr = 0; to_addr = 0 }
-
 let create ?(depth = 32) ~drain () =
   if depth <= 0 then invalid_arg "Lbr.create: depth must be positive";
-  { ring = Array.make depth dummy; depth; drain; fill = 0; total = 0 }
+  { froms = Array.make depth 0; tos = Array.make depth 0; depth; drain; fill = 0; total = 0 }
 
 let flush t =
   for i = 0 to t.fill - 1 do
-    t.drain t.ring.(i);
-    t.total <- t.total + 1
+    t.drain ~from_addr:(Array.unsafe_get t.froms i) ~to_addr:(Array.unsafe_get t.tos i)
   done;
+  t.total <- t.total + t.fill;
   t.fill <- 0
 
 let record t ~from_addr ~to_addr =
   if t.fill >= t.depth then flush t;
-  t.ring.(t.fill) <- { from_addr; to_addr };
+  Array.unsafe_set t.froms t.fill from_addr;
+  Array.unsafe_set t.tos t.fill to_addr;
   t.fill <- t.fill + 1
 
 let drained t = t.total

@@ -4,19 +4,16 @@
     address pairs in a small ring; a PMU handler drains the ring
     periodically.  The collector feeds every call edge through this ring
     so the aggregation sees exactly what a hardware profiler would:
-    address pairs, no IR identities. *)
-
-type record = {
-  from_addr : int;
-  to_addr : int;
-}
+    address pairs, no IR identities.  The ring holds the two addresses
+    in two int arrays, like the hardware's fixed-width FROM/TO register
+    pairs, so recording and draining allocate nothing. *)
 
 type t
 
-val create : ?depth:int -> drain:(record -> unit) -> unit -> t
+val create : ?depth:int -> drain:(from_addr:int -> to_addr:int -> unit) -> unit -> t
 (** [depth] defaults to 32, matching Skylake's LBR depth.  [drain] is the
-    PMU-handler callback invoked for each record when the ring fills (and
-    on [flush]). *)
+    PMU-handler callback invoked for each recorded pair, oldest first,
+    when the ring fills (and on [flush]). *)
 
 val record : t -> from_addr:int -> to_addr:int -> unit
 val flush : t -> unit

@@ -231,31 +231,49 @@ let to_string t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* One reader error form for every text input: the IR parser's located
+   [Parse_error], with 1-based line numbers. *)
 let of_string text =
   let t = create () in
-  let lines = String.split_on_char '\n' text in
-  let fail line = failwith ("Profile.of_string: malformed line: " ^ line) in
-  let parse_name tok line =
-    if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
-    else fail line
-  in
-  List.iter
-    (fun raw ->
+  (* running per-kind totals *)
+  let entries = ref 0 and directs = ref 0 and vps = ref 0 in
+  List.iteri
+    (fun i raw ->
+      let lineno = i + 1 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun message -> raise (Pibe_ir.Parser.Parse_error { line = lineno; message }))
+          fmt
+      in
       let line = String.trim raw in
+      let malformed () = fail "malformed line: %s" line in
+      let parse_int tok = match int_of_string_opt tok with Some v -> v | None -> malformed () in
+      let parse_name tok =
+        if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
+        else malformed ()
+      in
+      (* a count is non-negative and keeps its kind's total within [max_int],
+         so every weight sum a consumer takes fits *)
+      let parse_count total tok =
+        let c = parse_int tok in
+        if c < 0 then fail "negative count %d" c;
+        if c > max_int - !total then fail "count %d overflows the total of its kind" c;
+        total := !total + c;
+        c
+      in
       if line = "" || line = "profile {" || line = "}" then ()
       else
         match String.split_on_char ' ' line with
         | [ "entry"; name; "="; c ] ->
-          add_entry t ~func:(parse_name name line)
-            ~count:(try int_of_string c with Failure _ -> fail line)
-        | [ "direct"; o; "="; c ] -> (
-          try add_direct t ~origin:(int_of_string o) ~count:(int_of_string c)
-          with Failure _ -> fail line)
-        | [ "vp"; o; name; "="; c ] -> (
-          try
-            add_indirect t ~origin:(int_of_string o) ~target:(parse_name name line)
-              ~count:(int_of_string c)
-          with Failure _ -> fail line)
-        | _ -> fail line)
-    lines;
+          let func = parse_name name in
+          add_entry t ~func ~count:(parse_count entries c)
+        | [ "direct"; o; "="; c ] ->
+          let origin = parse_int o in
+          add_direct t ~origin ~count:(parse_count directs c)
+        | [ "vp"; o; name; "="; c ] ->
+          let origin = parse_int o in
+          let target = parse_name name in
+          add_indirect t ~origin ~target ~count:(parse_count vps c)
+        | _ -> malformed ())
+    (String.split_on_char '\n' text);
   t

@@ -103,5 +103,9 @@ val match_to :
 (** {2 Persistence} *)
 
 val to_string : t -> string
+
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises {!Pibe_ir.Parser.Parse_error} with the 1-based line number on
+    a malformed line, a negative count, or a count that would take the
+    total of its kind (entries, direct counters, value profiles) past
+    [max_int]. *)

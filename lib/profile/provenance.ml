@@ -317,45 +317,60 @@ let to_string t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* Same error form as [Profile.of_string]: the IR parser's located
+   [Parse_error]. *)
 let of_string text =
   let t = create () in
-  let fail line = failwith ("Provenance.of_string: malformed line: " ^ line) in
-  let parse_name tok line =
-    if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
-    else fail line
-  in
-  let parse_int tok line = try int_of_string tok with Failure _ -> fail line in
   let rev = ref [] in
-  List.iter
-    (fun raw ->
+  (* running per-kind totals *)
+  let trained = ref 0 and trained_entries = ref 0 in
+  List.iteri
+    (fun i raw ->
+      let lineno = i + 1 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun message -> raise (Pibe_ir.Parser.Parse_error { line = lineno; message }))
+          fmt
+      in
       let line = String.trim raw in
+      let malformed () = fail "malformed line: %s" line in
+      let parse_int tok = match int_of_string_opt tok with Some v -> v | None -> malformed () in
+      let parse_name tok =
+        if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
+        else malformed ()
+      in
+      let parse_count total tok =
+        let c = parse_int tok in
+        if c < 0 then fail "negative count %d" c;
+        if c > max_int - !total then fail "count %d overflows the total of its kind" c;
+        total := !total + c;
+        c
+      in
       if line = "" || line = "provenance {" || line = "}" then ()
       else
         match String.split_on_char ' ' line with
         | [ "promo"; po; "="; origin; target ] ->
-          record_promotion t ~promoted_origin:(parse_int po line)
-            ~origin:(parse_int origin line) ~target:(parse_name target line)
-        | "inline" :: caller :: callee :: site_id :: origin :: trained :: tce :: w ->
+          let promoted_origin = parse_int po in
+          let origin = parse_int origin in
+          record_promotion t ~promoted_origin ~origin ~target:(parse_name target)
+        | "inline" :: caller :: callee :: site_id :: origin :: count :: entries :: w ->
+          let caller = parse_name caller in
+          let callee = parse_name callee in
+          let site_id = parse_int site_id in
+          let origin = parse_int origin in
+          let trained_count = parse_count trained count in
+          let trained_caller_entries = parse_count trained_entries entries in
           let witness =
             match w with
             | [ "none" ] -> W_none
-            | [ "entries"; f ] -> W_caller_entries (parse_name f line)
-            | [ "sites"; ids ] ->
-              W_sites (List.map (fun s -> parse_int s line) (String.split_on_char ',' ids))
-            | _ -> fail line
+            | [ "entries"; f ] -> W_caller_entries (parse_name f)
+            | [ "sites"; ids ] -> W_sites (List.map parse_int (String.split_on_char ',' ids))
+            | _ -> malformed ()
           in
           rev :=
-            {
-              caller = parse_name caller line;
-              callee = parse_name callee line;
-              site_id = parse_int site_id line;
-              origin = parse_int origin line;
-              witness;
-              trained_count = parse_int trained line;
-              trained_caller_entries = parse_int tce line;
-            }
+            { caller; callee; site_id; origin; witness; trained_count; trained_caller_entries }
             :: !rev
-        | _ -> fail line)
+        | _ -> malformed ())
     (String.split_on_char '\n' text);
   t.rev_instances <- !rev;
   t

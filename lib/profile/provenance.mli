@@ -118,4 +118,7 @@ val runs_once : Types.func -> Types.label -> bool
 val to_string : t -> string
 
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises {!Pibe_ir.Parser.Parse_error} with the 1-based line number on
+    a malformed line, a negative count, or a count that would take the
+    total of its kind (trained counts, trained caller entries) past
+    [max_int]. *)

@@ -27,6 +27,7 @@ type snapshot = {
   memory : int list;
   icache : int * int;
   spec_events : Speculation.event list;
+  edges : (int * int) list;  (** (site id, callee id) call edges, in order *)
 }
 
 let counters_list (c : Engine.counters) =
@@ -44,9 +45,15 @@ let counters_list (c : Engine.counters) =
 
 (* [mkconfig] builds a fresh config (plus its drill state, if any) per
    run, so stateful hooks and speculation state never leak between the
-   two backends under comparison. *)
+   two backends under comparison.  The call-edge hook is installed on
+   top, so every differential also compares the edge stream a profiler
+   sees. *)
 let run_with ~backend ~mkconfig prog calls =
   let config, spec = mkconfig () in
+  let edges = ref [] in
+  let config =
+    { config with Engine.on_call = Some (fun ~site ~callee -> edges := (site, callee) :: !edges) }
+  in
   let engine = Engine.create ~config ~backend prog in
   let outcomes =
     List.map
@@ -66,6 +73,7 @@ let run_with ~backend ~mkconfig prog calls =
     icache =
       (Icache.hit_count (Engine.icache engine), Icache.miss_count (Engine.icache engine));
     spec_events = (match spec with None -> [] | Some s -> Speculation.events s);
+    edges = List.rev !edges;
   }
 
 let agree ~mkconfig prog calls =
@@ -332,6 +340,38 @@ let test_fault_mid_call () =
   Alcotest.(check bool)
     "fault mid-call rolls back bit-exactly" true
     (agree ~mkconfig:base prog calls && agree ~mkconfig:hardened prog calls)
+
+(* A call to a function the program lacks fails on both backends after
+   the call's counters and cycles, and reports no edge: the unknown
+   callee's id of -1 would alias [Engine.top_id]. *)
+let test_unknown_callee_reports_no_edge () =
+  let leaf =
+    let b = Builder.create ~name:"leaf" ~params:1 in
+    Builder.ret b (Some (Reg 0));
+    Builder.finish b ()
+  in
+  let prog = Program.add_func (Program.with_globals_size Program.empty Helpers.mem_cells) leaf in
+  let prog, known = Program.fresh_site prog in
+  let prog, unknown = Program.fresh_site prog in
+  let main =
+    let b = Builder.create ~name:"f0" ~params:1 in
+    let r = Builder.reg b in
+    Builder.call b ~dst:r known "leaf" [ Reg 0 ];
+    Builder.call b ~dst:r unknown "nosuch" [ Reg r ];
+    Builder.ret b (Some (Reg r));
+    Builder.finish b ()
+  in
+  let prog = Program.add_func prog main in
+  let calls = [ ("f0", [ 1 ]); ("f0", [ 2 ]) ] in
+  Alcotest.(check bool) "backends agree" true
+    (agree ~mkconfig:base prog calls && agree ~mkconfig:hardened prog calls);
+  let s = run_with ~backend:Engine.Interp ~mkconfig:base prog calls in
+  let leaf_id = Engine.func_id (Engine.create prog) "leaf" in
+  Alcotest.(check (list (pair int int)))
+    "only the resolved call is an edge"
+    [ (known.Types.site_id, leaf_id); (known.Types.site_id, leaf_id) ]
+    s.edges;
+  Alcotest.(check int) "both calls counted" 4 (List.hd s.counters)
 
 (* Every fuel budget from empty to past the whole workload: wherever the
    budget dies — before the seam, on the call step, inside the leaf's
@@ -625,6 +665,8 @@ let suite =
     Alcotest.test_case "fault mid-superblock rolls back" `Quick
       test_fault_mid_superblock;
     Alcotest.test_case "fault mid-fused-call rolls back" `Quick test_fault_mid_call;
+    Alcotest.test_case "unknown callee reports no edge" `Quick
+      test_unknown_callee_reports_no_edge;
     Alcotest.test_case "fuel sweep at call seams" `Quick
       test_fuel_sweep_at_call_seam;
     Alcotest.test_case "accumulator runs bit-exact" `Quick test_acc_runs;

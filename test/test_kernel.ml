@@ -186,12 +186,13 @@ let test_block_layer_on_fsync_path () =
   let config =
     {
       Engine.default_config with
-      Engine.on_edge = (Some (fun e -> seen := e.Engine.callee :: !seen));
+      Engine.on_call = Some (fun ~site:_ ~callee -> seen := callee :: !seen);
     }
   in
   let engine = Engine.create ~config info.Gen.prog in
   ignore (Engine.call engine info.Gen.entry [ Gen.nr info "fsync"; 0; 1 ]);
-  let hit name = List.exists (fun c -> String.equal c name) !seen in
+  let seen = List.map (Engine.func_name engine) !seen in
+  let hit name = List.exists (fun c -> String.equal c name) seen in
   Alcotest.(check bool) "submit_bio ran" true (hit "submit_bio");
   Alcotest.(check bool) "blk_flush ran" true (hit "blk_flush");
   Alcotest.(check bool) "a scheduler op ran" true
@@ -200,7 +201,7 @@ let test_block_layer_on_fsync_path () =
          List.exists
            (fun p -> String.length c > String.length p && String.sub c 0 (String.length p) = p)
            [ "noop_"; "deadline_"; "cfq_" ])
-       !seen)
+       seen)
 
 let test_crypto_on_exec_path () =
   let info = Helpers.kernel () in
@@ -208,13 +209,13 @@ let test_crypto_on_exec_path () =
   let config =
     {
       Engine.default_config with
-      Engine.on_edge = (Some (fun e -> seen := e.Engine.callee :: !seen));
+      Engine.on_call = Some (fun ~site:_ ~callee -> seen := callee :: !seen);
     }
   in
   let engine = Engine.create ~config info.Gen.prog in
   ignore (Engine.call engine info.Gen.entry [ Gen.nr info "exec"; 12345; 1 ]);
   Alcotest.(check bool) "signature hash ran" true
-    (List.exists (fun c -> String.equal c "crypto_hash") !seen)
+    (List.exists (fun c -> String.equal (Engine.func_name engine c) "crypto_hash") !seen)
 
 let test_gen_util_loop () =
   (* loop executes count iterations and leaves the builder at the exit *)

@@ -380,6 +380,73 @@ let test_fleet_canary_gates_rollout () =
           0 r.Fleet.inst_patches)
     o.Fleet.instances
 
+(* ------------------------- collector output ------------------------- *)
+
+(* What the collector produces on the quick kernel, pinned as digests:
+   the training profile, an on-image profile with its lift stats, and
+   adaptive Sim outcomes in both collection regimes (rebuilds, then each
+   window's cycles and drift bits).  Anything that changes what the
+   collector counts moves one of them. *)
+let collector_output_digests () =
+  let env = Helpers.env () in
+  let info = Pibe.Env.info env in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let training = Profile.to_string (Pibe.Env.lmbench_profile env) in
+  let on_image, (st : Pibe_profile.Collector.lift_stats) =
+    let built = Pibe.Env.build env (Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses) in
+    Pibe.Pipeline.profile_built built ~run:(fun engine ->
+        let rng = Pibe_util.Rng.create 5 in
+        List.iter
+          (fun (op : Workload.op) ->
+            for _ = 1 to 5 do
+              op.Workload.run engine rng
+            done)
+          (Pibe.Env.ops env))
+  in
+  let stats =
+    Pibe_profile.Collector.
+      [
+        st.lifted_pairs;
+        st.dropped_pairs;
+        st.recovered_instances;
+        st.unrecovered_instances;
+        st.recovered_weight;
+      ]
+  in
+  let phases =
+    [ (Workload.lmbench_phase info, 2); (Workload.phase_of_mix (Workload.dbench info), 6) ]
+  in
+  let sim profile_on_deployed =
+    let o =
+      run_sim ~config:{ sim_config with Sim.profile_on_deployed } ~adaptive:true ~phases env
+    in
+    md5
+      (String.concat "\n"
+         (string_of_int o.Sim.rebuilds
+         :: List.map
+              (fun (w : Sim.window_record) -> Printf.sprintf "%d %h" w.Sim.cycles w.Sim.distance)
+              o.Sim.windows))
+  in
+  [
+    ("training profile", md5 training);
+    ("on-image profile", md5 (Profile.to_string on_image));
+    ("on-image stats", String.concat " " (List.map string_of_int stats));
+    ("sim, pristine shadow", sim false);
+    ("sim, on the deployed image", sim true);
+  ]
+
+let test_collector_output_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "collector output"
+    [
+      ("training profile", "9b464a801be638f3eddc0946dc831c15");
+      ("on-image profile", "dccea40bc1abc1da2207fd06dbafb383");
+      ("on-image stats", "147 0 307 35 5077");
+      ("sim, pristine shadow", "fc66675cd6284dc88a90a8c9b9c157ce");
+      ("sim, on the deployed image", "437b4821d20371f9fa106768e4089d09");
+    ]
+    (collector_output_digests ())
+
 let suite =
   [
     ("store decay and eviction", `Quick, test_store_decay_and_eviction);
@@ -398,4 +465,5 @@ let suite =
     ("fleet steady workload never fires", `Slow, test_fleet_steady_never_fires);
     ("fleet staged promotion", `Slow, test_fleet_staged_promotion);
     ("fleet canary gates rollout", `Slow, test_fleet_canary_gates_rollout);
+    ("collector output pinned", `Slow, test_collector_output_pinned);
   ]

@@ -133,13 +133,33 @@ let structured_profile_gen =
       p)
     (triple directs vps entries)
 
+(* Whether the reader must reject [text]: some count is negative (a
+   max_int key bumped twice wraps in memory) or a kind's running total
+   (entries, direct counters, value profiles) passes max_int. *)
+let must_reject text =
+  let totals = Hashtbl.create 3 in
+  List.exists
+    (fun line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | (("entry" | "direct" | "vp") as kind) :: rest ->
+        let c = int_of_string (List.nth rest (List.length rest - 1)) in
+        let total = Option.value ~default:0 (Hashtbl.find_opt totals kind) in
+        Hashtbl.replace totals kind (total + c);
+        c < 0 || c > max_int - total
+      | _ -> false)
+    (String.split_on_char '\n' text)
+
+(* Every text the writer produces either round-trips or, when its counts
+   cannot be summed safely, is rejected with the located error. *)
 let prop_structured_roundtrip =
   QCheck.Test.make ~name:"serialization round-trips (empty/multi-target/max_int)"
     ~count:300
     (QCheck.make ~print:Profile.to_string structured_profile_gen)
     (fun p ->
-      let p' = Profile.of_string (Profile.to_string p) in
-      Profile.to_string p' = Profile.to_string p)
+      let text = Profile.to_string p in
+      match Profile.of_string text with
+      | p' -> (not (must_reject text)) && Profile.to_string p' = text
+      | exception Parser.Parse_error _ -> must_reject text)
 
 (* ---------------------- sharded merge properties -------------------- *)
 
@@ -248,21 +268,21 @@ let test_empty_profile_roundtrip () =
   Alcotest.(check string) "empty round-trips" (Profile.to_string empty)
     (Profile.to_string (Profile.of_string (Profile.to_string empty)))
 
+(* Both text readers raise the IR parser's located error. *)
+let check_parse_error what ~line ~message f =
+  match f () with
+  | exception Parser.Parse_error { line = l; message = m } ->
+    Alcotest.(check (pair int string)) what (line, message) (l, m)
+  | _ -> Alcotest.failf "%s was accepted" what
+
 let test_of_string_rejects_garbage () =
-  Alcotest.check_raises "garbage"
-    (Failure "Profile.of_string: malformed line: direct x = 1") (fun () ->
-      ignore (Profile.of_string "direct x = 1"));
-  (* every malformed shape must raise Failure naming the offending line *)
+  (* every malformed shape names the offending line *)
   List.iter
     (fun line ->
-      match Profile.of_string line with
-      | exception Failure msg ->
-        Alcotest.(check string)
-          (Printf.sprintf "%S names the line" line)
-          ("Profile.of_string: malformed line: " ^ line)
-          msg
-      | _ -> Alcotest.failf "%S was accepted" line)
+      check_parse_error (Printf.sprintf "%S" line) ~line:1
+        ~message:("malformed line: " ^ line) (fun () -> Profile.of_string line))
     [
+      "direct x = 1";         (* non-numeric origin *)
       "entry read = 5";       (* function name missing the @ sigil *)
       "vp 1 target = 2";      (* target name missing the @ sigil *)
       "vp x @t = 2";          (* non-numeric origin *)
@@ -271,19 +291,53 @@ let test_of_string_rejects_garbage () =
       "direct 1 = 2 extra";   (* trailing tokens *)
       "entry @ = 1 = 2";      (* doubled '=' *)
       "weird 1 = 2";          (* unknown record kind *)
-    ]
+    ];
+  (* lines count from 1 over the whole text, header included *)
+  check_parse_error "third line" ~line:3 ~message:"malformed line: direct x = 1" (fun () ->
+      Profile.of_string "profile {\n  entry @f = 1\n  direct x = 1\n}\n");
+  List.iter
+    (fun line ->
+      check_parse_error (Printf.sprintf "%S" line) ~line:2 ~message:"negative count -5"
+        (fun () -> Profile.of_string ("profile {\n" ^ line ^ "\n}\n")))
+    [ "  direct 1 = -5"; "  vp 1 @f = -5"; "  entry @f = -5" ];
+  (* two counts of max_int each fit, but their sum would wrap negative *)
+  List.iter
+    (fun (a, b) ->
+      check_parse_error (Printf.sprintf "%S then %S" a b) ~line:2
+        ~message:(Printf.sprintf "count %d overflows the total of its kind" max_int)
+        (fun () -> Profile.of_string (Printf.sprintf "%s\n%s\n" a b)))
+    (List.map
+       (fun fmt -> (Printf.sprintf fmt 1 max_int, Printf.sprintf fmt 2 max_int))
+       [ "direct %d = %d"; "vp %d @f = %d" ]
+    @ [ (Printf.sprintf "entry @f = %d" max_int, Printf.sprintf "entry @g = %d" max_int) ]);
+  (* each kind has its own total, so one max_int per kind is fine *)
+  let p =
+    Profile.of_string
+      (Printf.sprintf "direct 1 = %d\nvp 2 @f = %d\nentry @f = %d\n" max_int max_int
+         max_int)
+  in
+  Alcotest.(check (list int)) "one max_int per kind" [ max_int; max_int; max_int ]
+    [ Profile.total_direct_weight p; Profile.total_indirect_weight p; Profile.invocations p "f" ]
 
 (* ------------------------------- LBR ------------------------------- *)
 
 let test_lbr_drains_on_overflow_and_flush () =
   let drained = ref [] in
-  let lbr = Lbr.create ~depth:4 ~drain:(fun r -> drained := r :: !drained) () in
+  let lbr =
+    Lbr.create ~depth:4
+      ~drain:(fun ~from_addr ~to_addr -> drained := (from_addr, to_addr) :: !drained)
+      ()
+  in
   for i = 1 to 6 do
     Lbr.record lbr ~from_addr:i ~to_addr:(i * 10)
   done;
   Alcotest.(check int) "one overflow drain" 4 (List.length !drained);
   Lbr.flush lbr;
   Alcotest.(check int) "all records delivered" 6 (List.length !drained);
+  Alcotest.(check (list (pair int int)))
+    "drained oldest first"
+    (List.init 6 (fun i -> (i + 1, (i + 1) * 10)))
+    (List.rev !drained);
   Alcotest.(check int) "total counted" 6 (Lbr.drained lbr)
 
 (* --------------------------- collector ----------------------------- *)
@@ -291,10 +345,7 @@ let test_lbr_drains_on_overflow_and_flush () =
 let test_collector_lift_matches_execution () =
   let prog = Helpers.random_program 21 in
   let collector = Collector.create prog in
-  let config =
-    { Engine.default_config with Engine.on_edge = Some (Collector.hook collector) }
-  in
-  let engine = Engine.create ~config prog in
+  let engine = Collector.engine collector in
   List.iter
     (fun (entry, args) -> ignore (Engine.call engine entry args))
     (Helpers.standard_calls prog);
@@ -313,10 +364,7 @@ let test_collector_invocations_match () =
   let info = Helpers.kernel () in
   let prog = info.Pibe_kernel.Gen.prog in
   let collector = Collector.create prog in
-  let config =
-    { Engine.default_config with Engine.on_edge = Some (Collector.hook collector) }
-  in
-  let engine = Engine.create ~config prog in
+  let engine = Collector.engine collector in
   let nr = Pibe_kernel.Gen.nr info "read" in
   for i = 1 to 50 do
     ignore (Engine.call engine info.Pibe_kernel.Gen.entry [ nr; 0; i * 9 ])
@@ -425,13 +473,8 @@ let test_version_counts_mutations () =
 let test_provenance_rejects_garbage () =
   List.iter
     (fun line ->
-      match Provenance.of_string line with
-      | exception Failure msg ->
-        Alcotest.(check string)
-          (Printf.sprintf "%S names the line" line)
-          ("Provenance.of_string: malformed line: " ^ line)
-          msg
-      | _ -> Alcotest.failf "%S was accepted" line)
+      check_parse_error (Printf.sprintf "%S" line) ~line:1
+        ~message:("malformed line: " ^ line) (fun () -> Provenance.of_string line))
     [
       "inline @a @b 1 2 3 none";        (* missing the carry-forward ints *)
       "inline @a @b 1 2 3 4 maybe";     (* unknown witness kind *)
@@ -439,7 +482,21 @@ let test_provenance_rejects_garbage () =
       "inline a @b 1 2 3 4 none";       (* caller missing the @ sigil *)
       "promo 1 = 2 target";             (* target missing the @ sigil *)
       "weird 1 = 2";                    (* unknown record kind *)
-    ]
+    ];
+  check_parse_error "third line" ~line:3 ~message:"malformed line: promo 1 = 2 target"
+    (fun () ->
+      Provenance.of_string "provenance {\n  promo 3 = 4 @f\n  promo 1 = 2 target\n}\n");
+  List.iter
+    (fun line ->
+      check_parse_error (Printf.sprintf "%S" line) ~line:2 ~message:"negative count -5"
+        (fun () -> Provenance.of_string ("provenance {\n" ^ line ^ "\n}\n")))
+    [ "  inline @a @b 1 2 -5 4 none"; "  inline @a @b 1 2 3 -5 none" ];
+  (* two trained counts of max_int: the second would wrap the total *)
+  check_parse_error "two max_int trained counts" ~line:2
+    ~message:(Printf.sprintf "count %d overflows the total of its kind" max_int) (fun () ->
+      Provenance.of_string
+        (Printf.sprintf "inline @a @b 1 2 %d 4 none\ninline @a @c 3 4 %d 4 none\n" max_int
+           max_int))
 
 (* -------------------------- staleness matching ---------------------- *)
 
@@ -532,20 +589,46 @@ let prop_match_to_idempotent =
 
 (* -------------------- collector drop accounting --------------------- *)
 
-let test_collector_counts_dropped_pairs () =
+(* Raw PMU-style samples whose addresses resolve to nothing (a stale
+   layout): negative values, addresses below or past the image, both
+   sides of the 2^31 boundary the drain packs pairs below, and the int
+   extremes.  Each recorded pair carries weight 1, and repeats add up. *)
+let prop_collector_counts_dropped_pairs =
   let prog = Helpers.random_program 21 in
-  let collector = Collector.create prog in
-  (* raw PMU-style samples whose addresses resolve to nothing: a stale
-     layout.  Each pair carries weight 1; the repeat weights one pair 2. *)
-  Collector.record_raw collector ~from_addr:123_456_789 ~to_addr:987_654_321;
-  Collector.record_raw collector ~from_addr:123_456_789 ~to_addr:987_654_321;
-  Collector.record_raw collector ~from_addr:max_int ~to_addr:max_int;
-  let profile = Collector.lift collector in
-  let stats = Collector.stats collector in
-  Alcotest.(check int) "all weight dropped" 3 stats.Collector.dropped_pairs;
-  Alcotest.(check int) "nothing lifted" 0 stats.Collector.lifted_pairs;
-  Alcotest.(check int) "profile stays empty" 0
-    (Profile.total_direct_weight profile + Profile.total_indirect_weight profile)
+  let past_image = 0x1000 + Layout.total_code_bytes (Layout.build prog) in
+  let addr =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> -n - 1) nat;
+          int_range 0 0xfff;
+          int_range past_image (past_image + 64);
+          int_range ((1 lsl 31) - 2) ((1 lsl 31) + 2);
+          map (fun n -> (1 lsl 31) + n) nat;
+          oneofl [ max_int; max_int - 1; min_int; 1 lsl 62 ];
+        ])
+  in
+  QCheck.Test.make ~name:"collector counts dropped pairs" ~count:200
+    QCheck.(make ~print:Print.(list (pair int int)) Gen.(list_size (0 -- 80) (pair addr addr)))
+    (fun pairs ->
+      let collector = Collector.create prog in
+      List.iter
+        (fun (from_addr, to_addr) -> Collector.record_raw collector ~from_addr ~to_addr)
+        pairs;
+      let rec group = function
+        | [] -> []
+        | p :: rest ->
+          let same, others = List.partition (( = ) p) rest in
+          (p, 1 + List.length same) :: group others
+      in
+      let expected = List.sort compare (group pairs) in
+      let recorded = Collector.raw_pairs collector = expected in
+      let profile = Collector.lift collector in
+      let stats = Collector.stats collector in
+      recorded
+      && stats.Collector.dropped_pairs = List.length pairs
+      && stats.Collector.lifted_pairs = 0
+      && Profile.total_direct_weight profile + Profile.total_indirect_weight profile = 0)
 
 let test_collector_entry_hook () =
   let prog = Helpers.random_program 21 in
@@ -711,7 +794,7 @@ let suite =
     ("match_to: site-id kind collision", `Quick, test_match_to_kind_collision);
     ("match_to: renames", `Quick, test_match_to_renames);
     Helpers.qcheck_to_alcotest prop_match_to_idempotent;
-    ("collector counts dropped pairs", `Quick, test_collector_counts_dropped_pairs);
+    Helpers.qcheck_to_alcotest prop_collector_counts_dropped_pairs;
     ("collector entry hook", `Quick, test_collector_entry_hook);
     ("runs_once matches once_blocks on kernels", `Quick, test_runs_once_on_kernels);
     Helpers.qcheck_to_alcotest prop_runs_once_matches_once_blocks;

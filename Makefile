@@ -1,9 +1,9 @@
-.PHONY: all build test check docs bench bench-smoke bench-smoke-fleet bench-smoke-frontier bench-smoke-stale parity clean
+.PHONY: all build test check docs bench bench-smoke clean
 
 all: build
 
-# Scratch outputs from smoke/parity runs live under _build/ so they are
-# covered by dune clean and never show up as untracked files.
+# Scratch outputs from smoke runs live under _build/ so they are covered
+# by dune clean and never show up as untracked files.
 SCRATCH = _build/smoke
 
 build:
@@ -12,18 +12,19 @@ build:
 test:
 	dune runtest
 
-# Everything a PR must keep green: build, the full test suite, the doc
-# lint (see `docs`), a pass-manager smoke run with inter-pass IR
-# validation on (traced, so the trace layer stays wired end to end), the
-# same validation on the paper-scale kernel, whose lax inlining grows
-# syscall_entry to about 2,000 blocks, the on-disk profile round trip
-# (profile, then optimize from the written file), the two call-edge hook
-# consumers outside the collector (trace, perf), a malformed profile
+# Everything a PR must keep green: build, the full test suite (which
+# includes the golden test/golden/bench.t: every bench/main.exe --quick
+# output at --jobs 1, --jobs 2 and on the interpreter, plus the benchmark
+# self-test), the doc lint (see `docs`), a pass-manager smoke run with
+# inter-pass IR validation on (traced, so the trace layer stays wired end
+# to end), the same validation on the paper-scale kernel, whose lax
+# inlining grows syscall_entry to about 2,000 blocks, an out-of-range
+# pass option that pipeline must reject with exit status 1 and a message
+# naming the pass, the option and the value, the on-disk profile round
+# trip (profile, then optimize from the written file), the two call-edge
+# hook consumers outside the collector (trace, perf), a malformed profile
 # that optimize must reject with exit status 1 and a FILE:LINE message,
-# a one-window continuous-profiling smoke on the tiny kernel, the fleet,
-# frontier and stale/fixpoint jobs-invariance smokes, a dispatch-floor
-# microbenchmark smoke (backend table prints end to end), and the
-# cross-backend parity smoke (see `parity`).
+# and a one-window continuous-profiling smoke on the tiny kernel.
 check:
 	dune build
 	dune runtest
@@ -31,10 +32,14 @@ check:
 	mkdir -p $(SCRATCH)
 	dune exec bin/pibe_cli.exe -- pipeline --scale 1 \
 	  --passes "icp(budget=99.999),inline(budget=99.9,lax),cleanup,retpoline,ret-retpoline" \
-	  --verify --trace $(SCRATCH)/smoke_trace.json --trace-format chrome
+	  --verify --trace $(SCRATCH)/smoke_trace.json
 	dune exec bin/pibe_cli.exe -- pipeline --scale 3 \
 	  --passes "icp(budget=99.999),inline(budget=99.9999,lax),cleanup,retpoline,ret-retpoline,lvi-cfi" \
 	  --verify
+	status=0; dune exec bin/pibe_cli.exe -- pipeline --scale 1 --passes "icp(max-targets=0)" \
+	  2> $(SCRATCH)/bad_spec.err || status=$$?; test $$status -eq 1
+	grep -qx 'invalid pipeline spec: pass icp: option max-targets must be at least 1, got "0"' \
+	  $(SCRATCH)/bad_spec.err
 	dune exec bin/pibe_cli.exe -- profile --scale 1 --out $(SCRATCH)/profile.txt
 	dune exec bin/pibe_cli.exe -- optimize --scale 1 --profile $(SCRATCH)/profile.txt \
 	  --out $(SCRATCH)/image.ir
@@ -46,27 +51,6 @@ check:
 	  2> $(SCRATCH)/bad_profile.err || status=$$?; test $$status -eq 1
 	grep -qx '$(SCRATCH)/bad_profile.txt:2: negative count -5' $(SCRATCH)/bad_profile.err
 	dune exec bin/pibe_cli.exe -- online --scale 1 --windows 1 --requests 30
-	$(MAKE) bench-smoke-fleet
-	$(MAKE) bench-smoke-frontier
-	$(MAKE) bench-smoke-stale
-	dune exec bench/dispatch_bench.exe -- --quick
-	$(MAKE) parity
-
-# Cross-backend parity smoke: the bench-smoke workload once per
-# execution backend, outputs diffed byte-for-byte (only the wall-clock
-# footer line is stripped — everything simulated must be identical).
-# Two legs: the default compiled engine (lazy superblock traces) and the
-# reference interpreter.  The workload includes one frontier config so
-# the CFI/PAC cost paths are proven bit-exact across engines too.
-parity:
-	dune build bench/main.exe
-	mkdir -p $(SCRATCH)
-	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_compiled.txt
-	dune exec bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
-	  --engine interp | sed '/^\[bench harness finished/d' > $(SCRATCH)/parity_interp.txt
-	cmp $(SCRATCH)/parity_compiled.txt $(SCRATCH)/parity_interp.txt
-	@echo "parity: compiled and interp outputs are byte-identical"
 
 # Documentation: lint that every public module in lib/ carries a
 # top-level (** ... *) summary, then build the odoc pages.  The odoc
@@ -93,52 +77,6 @@ bench-smoke:
 	mkdir -p $(SCRATCH)
 	dune exec bench/main.exe -- --quick --table 5 --online --jobs 2 \
 	  --trace $(SCRATCH)/bench_smoke_trace.json
-
-# Fleet smoke (part of `check`): a small fleet (6 instances, 2 domains)
-# through the sharded aggregator and the staged canary rollout, run
-# twice — parallel and sequential — with the outputs diffed
-# byte-for-byte, so the jobs-invariance contract of lib/online/fleet.ml
-# is enforced on every PR.
-bench-smoke-fleet:
-	dune build bench/main.exe
-	mkdir -p $(SCRATCH)
-	dune exec bench/main.exe -- --quick --fleet --jobs 2 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/fleet_smoke_j2.txt
-	dune exec bench/main.exe -- --quick --fleet --jobs 1 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/fleet_smoke_j1.txt
-	cmp $(SCRATCH)/fleet_smoke_j1.txt $(SCRATCH)/fleet_smoke_j2.txt
-	@echo "fleet smoke: sequential and parallel outputs are byte-identical"
-
-# Frontier smoke (part of `check`): the overhead-vs-security frontier
-# and tables 5-7 on the tiny kernel, sequential vs parallel, byte-diffed
-# — pins the defense ledger, the jobs-invariance of the CFI/PAC paths,
-# and the pass manager's optimization-prefix reuse: the tables' defense
-# sets share each prefix, so parallel cells race to insert the same
-# entry.
-bench-smoke-frontier:
-	dune build bench/main.exe
-	mkdir -p $(SCRATCH)
-	dune exec bench/main.exe -- --quick --frontier --table 5 --table 6 --table 7 --jobs 2 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/frontier_smoke_j2.txt
-	dune exec bench/main.exe -- --quick --frontier --table 5 --table 6 --table 7 --jobs 1 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/frontier_smoke_j1.txt
-	cmp $(SCRATCH)/frontier_smoke_j1.txt $(SCRATCH)/frontier_smoke_j2.txt
-	@echo "frontier smoke: sequential and parallel outputs are byte-identical"
-
-# Stale/fixpoint smoke (part of `check`): the k-stale-profile experiment
-# plus the iterative build->profile-on-hardened->rebuild loop on the
-# tiny kernel, sequential vs parallel, byte-diffed — pins the kernel
-# evolution generator, the staleness matcher, and the provenance-lifted
-# collection path to the jobs-invariance contract.
-bench-smoke-stale:
-	dune build bench/main.exe
-	mkdir -p $(SCRATCH)
-	dune exec bench/main.exe -- --quick --stale --fixpoint --jobs 2 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/stale_smoke_j2.txt
-	dune exec bench/main.exe -- --quick --stale --fixpoint --jobs 1 \
-	  | sed '/^\[bench harness finished/d' > $(SCRATCH)/stale_smoke_j1.txt
-	cmp $(SCRATCH)/stale_smoke_j1.txt $(SCRATCH)/stale_smoke_j2.txt
-	@echo "stale smoke: sequential and parallel outputs are byte-identical"
 
 clean:
 	dune clean

@@ -10,10 +10,13 @@
      passes         list the registered pipeline passes and their options
      dump-ir        print a generated function (or the whole program)
 
-   pipeline / experiment / online accept --trace FILE --trace-format
-   chrome|csv|text to capture a structured trace of the run (spans per
-   pass / window / measured op, counters for IR deltas and engine
-   events); the chrome sink loads in chrome://tracing or Perfetto.
+   pipeline / experiment / online / fleet accept --trace FILE to capture
+   a structured trace of the run (spans per pass / window / measured op,
+   counters for IR deltas and engine events).  The sink follows FILE's
+   extension (Trace.format_of_path): .json is Chrome trace_event JSON
+   (loads in chrome://tracing or Perfetto), .csv is CSV, anything else
+   indented text.  The trace spans are the only host time the CLI
+   reports; everything printed on stdout is simulated.
 
    Subcommands that execute simulated code accept --engine
    compiled|interp to pick the execution backend (bit-exact; compiled is
@@ -75,41 +78,32 @@ let with_engine name k =
 let trace_arg =
   let doc =
     "Collect a structured trace (spans, counters, gauges) of the run and \
-     write it to $(docv).  See --trace-format."
+     write it to $(docv).  The extension picks the sink: .json is Chrome \
+     trace_event JSON (chrome://tracing / Perfetto), .csv is CSV, anything \
+     else indented text."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let trace_format_arg =
-  let doc =
-    "Trace sink: 'chrome' (trace_event JSON for chrome://tracing / \
-     Perfetto), 'csv', or 'text'."
-  in
-  Arg.(value & opt string "chrome" & info [ "trace-format" ] ~docv:"FMT" ~doc)
 
 (* Run [k] under the global trace collector and write the sink file.  The
    status line goes to stderr so stdout stays byte-identical with and
    without --trace. *)
-let with_trace trace_path fmt k =
+let with_trace trace_path k =
   match trace_path with
   | None -> k ()
-  | Some path -> (
-    match Pibe_trace.Trace.format_of_string fmt with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok f ->
-      Pibe_trace.Trace.start ();
-      let code =
-        try k ()
-        with e ->
-          ignore (Pibe_trace.Trace.stop ());
-          raise e
-      in
-      let events = Pibe_trace.Trace.stop () in
-      Pibe_trace.Trace.write_file ~path f events;
-      Printf.eprintf "trace: wrote %d events to %s (%s)\n" (List.length events) path
-        (Pibe_trace.Trace.format_to_string f);
-      code)
+  | Some path ->
+    Pibe_trace.Trace.start ();
+    let code =
+      try k ()
+      with e ->
+        ignore (Pibe_trace.Trace.stop ());
+        raise e
+    in
+    let events = Pibe_trace.Trace.stop () in
+    let fmt = Pibe_trace.Trace.format_of_path path in
+    Pibe_trace.Trace.write_file ~path fmt events;
+    Printf.eprintf "trace: wrote %d events to %s (%s)\n" (List.length events) path
+      (Pibe_trace.Trace.format_to_string fmt);
+    code
 
 let parse_defenses = function
   | "none" -> Ok Pibe_harden.Pass.no_defenses
@@ -184,13 +178,12 @@ let pipeline_spec ~seed ~scale ~verify text =
             (fun line -> Printf.printf "  %s: %s\n" s.Pibe_pm.Manager.pass line)
             (Pibe_pm.Manager.detail_lines s))
         result.Pibe_pm.Manager.passes;
-      Printf.printf "total:  %.1f ms\n" (1000.0 *. result.Pibe_pm.Manager.wall_s);
       print_image_summary result.Pibe_pm.Manager.image;
       0)
 
-let pipeline seed scale defenses budget passes verify engine trace trace_format =
+let pipeline seed scale defenses budget passes verify engine trace =
   with_engine engine @@ fun () ->
-  with_trace trace trace_format @@ fun () ->
+  with_trace trace @@ fun () ->
   match passes with
   | Some text -> pipeline_spec ~seed ~scale ~verify text
   | None -> (
@@ -226,9 +219,9 @@ let pipeline seed scale defenses budget passes verify engine trace trace_format 
     Printf.printf "lmbench geomean overhead vs LTO: %+.1f%%\n" geo;
     0)
 
-let experiment name seed scale quick jobs engine trace trace_format =
+let experiment name seed scale quick jobs engine trace =
   with_engine engine @@ fun () ->
-  with_trace trace trace_format @@ fun () ->
+  with_trace trace @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
     if quick then Pibe.Env.quick ~jobs ()
@@ -432,9 +425,9 @@ let dump_ir seed scale func =
 (* Simulate the continuous-profiling deployment loop: phased workload,
    drift detection, adaptive re-optimization with patch downtime. *)
 let online seed scale quick jobs windows requests window decay threshold hysteresis
-    max_reopts engine trace trace_format =
+    max_reopts engine trace =
   with_engine engine @@ fun () ->
-  with_trace trace trace_format @@ fun () ->
+  with_trace trace @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
     if quick then Pibe.Env.quick ~jobs () else Pibe.Env.create ~scale ~seed ~jobs ()
@@ -476,9 +469,9 @@ let online seed scale quick jobs windows requests window decay threshold hystere
 (* Simulate the fleet deployment: N instances with heterogeneous drifting
    mixes, sharded profile aggregation, staged canary rollout. *)
 let fleet seed scale quick jobs instances windows requests window decay threshold
-    hysteresis max_reopts canary tolerance engine trace trace_format =
+    hysteresis max_reopts canary tolerance engine trace =
   with_engine engine @@ fun () ->
-  with_trace trace trace_format @@ fun () ->
+  with_trace trace @@ fun () ->
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let env =
     if quick then Pibe.Env.quick ~jobs () else Pibe.Env.create ~scale ~seed ~jobs ()
@@ -540,7 +533,7 @@ let pipeline_cmd =
     (Cmd.info "pipeline" ~doc:"Run the full profile/optimize/harden pipeline")
     Term.(
       const pipeline $ seed_arg $ scale_arg $ defenses_arg $ budget_arg $ passes_arg
-      $ verify_arg $ engine_arg $ trace_arg $ trace_format_arg)
+      $ verify_arg $ engine_arg $ trace_arg)
 
 let experiment_cmd =
   let id_arg =
@@ -563,7 +556,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate one paper table/figure")
     Term.(
       const experiment $ id_arg $ seed_arg $ scale_arg $ quick_arg $ jobs_arg
-      $ engine_arg $ trace_arg $ trace_format_arg)
+      $ engine_arg $ trace_arg)
 
 let attack_cmd =
   Cmd.v
@@ -700,7 +693,7 @@ let online_cmd =
     Term.(
       const online $ seed_arg $ scale_arg $ quick_arg $ jobs_arg $ windows_arg
       $ requests_arg $ window_arg $ decay_arg $ threshold_arg $ hysteresis_arg
-      $ max_reopts_arg $ engine_arg $ trace_arg $ trace_format_arg)
+      $ max_reopts_arg $ engine_arg $ trace_arg)
 
 let fleet_cmd =
   let d = Pibe_online.Fleet.default_config in
@@ -798,7 +791,7 @@ let fleet_cmd =
       const fleet $ seed_arg $ scale_arg $ quick_arg $ jobs_arg $ instances_arg
       $ windows_arg $ requests_arg $ window_arg $ decay_arg $ threshold_arg
       $ hysteresis_arg $ max_reopts_arg $ canary_arg $ tolerance_arg $ engine_arg
-      $ trace_arg $ trace_format_arg)
+      $ trace_arg)
 
 let passes_cmd =
   Cmd.v

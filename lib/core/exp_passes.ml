@@ -1,7 +1,7 @@
 (* Per-pass pipeline instrumentation: what each pass of the lowered spec
-   did to the IR and what it cost in wall-clock time, for the two
-   headline configurations.  This is the pass-manager view of the
-   pipeline — the equivalent of LLVM's -time-passes over our driver. *)
+   did to the IR, for the two headline configurations.  This is the
+   pass-manager view of the pipeline; its host time is in the
+   pass:<elem> trace spans (--trace). *)
 
 module Tbl = Pibe_util.Tbl
 module Manager = Pibe_pm.Manager

@@ -1,5 +1,5 @@
-(** Extension: per-pass pipeline instrumentation (wall-clock time, IR
-    deltas, pass-specific statistics) for the headline configurations, as
+(** Extension: per-pass pipeline instrumentation (IR deltas,
+    pass-specific statistics) for the headline configurations, as
     reported by the pass manager. *)
 
 val run : Env.t -> Pibe_util.Tbl.t list

@@ -6,8 +6,8 @@
     back to IR identities.  Phase 2 lowers the configuration to a textual
     pipeline spec (see {!Pibe_pm.Spec}), resolves it against the pass
     registry, and runs it under the manager: the profile is copied, each
-    pass is timed and IR-delta-instrumented, and the remaining indirect
-    branches are hardened into an image.  [verify] (off by default in
+    pass is IR-delta-instrumented, and the remaining indirect branches
+    are hardened into an image.  [verify] (off by default in
     release runs, on in the test environments) re-validates the IR between
     every pass. *)
 
@@ -26,7 +26,7 @@ type built = {
           {!profile_built} to lift optimized-image profiles back to
           pristine origins *)
   pass_stats : Pibe_pm.Manager.pass_stats list;
-      (** per-pass wall-clock time and IR deltas, in execution order *)
+      (** per-pass IR deltas and pass details, in execution order *)
 }
 
 val profile :

@@ -43,8 +43,8 @@
     speculation events and errors, so when (or whether) a trace is
     lowered is unobservable except as wall-clock speed.  The golden
     fingerprints in [test/test_measure.ml] and the differential suite in
-    [test/test_backend.ml] pin it; [make parity] byte-diffs full bench
-    output between the two backends.
+    [test/test_backend.ml] pin it; the golden [test/golden/bench.t]
+    byte-compares full [--quick] bench output between the two backends.
 
     Compilation output is cached in a small LRU keyed on {e physical}
     program identity alone, so repeated [create] over a working set of

@@ -35,7 +35,6 @@ let snapshot prog =
 
 type pass_stats = {
   pass : string;
-  wall_s : float;
   before : snapshot;
   after : snapshot;
   detail : Pass.detail;
@@ -46,7 +45,6 @@ type result = {
   profile : Profile.t;
   provenance : Pibe_profile.Provenance.t;
   passes : pass_stats list;
-  wall_s : float;
 }
 
 (* Pass-specific elision counters for the trace stream (the same numbers
@@ -209,7 +207,6 @@ let split_prefix passes =
   go [] passes
 
 let run ?(verify = false) ?check prog profile passes =
-  let t_start = Trace.now_s () in
   let inspect prog =
     if verify then Validate.check_exn prog;
     Option.iter (fun f -> f prog) check
@@ -222,18 +219,14 @@ let run ?(verify = false) ?check prog profile passes =
       List.map
         (fun (p : Pass.t) ->
           Trace.span ~cat:"pm" ("pass:" ^ Spec.elem_to_string p.spec) (fun () ->
-              let t0 = Trace.now_s () in
               let st, detail = p.run !state in
-              let wall_s = Trace.now_s () -. t0 in
               inspect st.Pass.prog;
               let after =
                 if st.Pass.prog == !state.Pass.prog then !before else snapshot st.Pass.prog
               in
               state := st;
               trace_pass_deltas ~before:!before ~after detail;
-              let s =
-                { pass = Spec.elem_to_string p.spec; wall_s; before = !before; after; detail }
-              in
+              let s = { pass = Spec.elem_to_string p.spec; before = !before; after; detail } in
               before := after;
               s))
         passes
@@ -288,7 +281,6 @@ let run ?(verify = false) ?check prog profile passes =
         profile = st.Pass.profile;
         provenance = st.Pass.provenance;
         passes = stats;
-        wall_s = Trace.now_s () -. t_start;
       })
 
 (* ----------------------------- reporting ----------------------------- *)
@@ -299,9 +291,7 @@ let table ?(title = "Per-pass pipeline statistics") passes =
   let t =
     Tbl.create ~title
       ~columns:
-        [
-          "pass"; "ms"; "dfuncs"; "dblocks"; "dinsts"; "dbytes"; "icalls"; "rets"; "jump tables";
-        ]
+        [ "pass"; "dfuncs"; "dblocks"; "dinsts"; "dbytes"; "icalls"; "rets"; "jump tables" ]
   in
   List.iter
     (fun s ->
@@ -309,7 +299,6 @@ let table ?(title = "Per-pass pipeline statistics") passes =
       Tbl.add_row t
         [
           Tbl.Str s.pass;
-          Tbl.Float (s.wall_s *. 1000.0);
           Tbl.Int (d (fun x -> x.funcs));
           Tbl.Int (d (fun x -> x.blocks));
           Tbl.Int (d (fun x -> x.insts));

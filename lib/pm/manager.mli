@@ -2,14 +2,13 @@
     built-in per-pass instrumentation, then materializes the hardened
     image from the accumulated defense requests.
 
-    For every pass the manager records its elapsed time, on the
-    monotonic clock of {!Pibe_trace.Trace.now_s} (a stepped system clock
-    cannot make it negative), and an IR snapshot delta (functions,
+    For every pass the manager records an IR snapshot delta (functions,
     blocks, instructions, code bytes, remaining indirect forward edges,
-    remaining returns, remaining jump tables).  With
-    [~verify:true] the IR validator runs between every pass (and on the
-    final image); an optional [~check] hook — e.g. differential
-    interpretation on a smoke workload — also runs after every pass.
+    remaining returns, remaining jump tables).  Host time is measured
+    only by the trace spans below.  With [~verify:true] the IR validator
+    runs between every pass (and on the final image); an optional
+    [~check] hook — e.g. differential interpretation on a smoke workload
+    — also runs after every pass.
 
     When {!Pibe_trace.Trace} collection is on, a run additionally emits a
     ["pm"]-category span tree — [pm:run] around the whole pipeline, one
@@ -42,7 +41,6 @@ val snapshot : Program.t -> snapshot
 
 type pass_stats = {
   pass : string;  (** canonical spec element, e.g. ["icp(budget=99.999)"] *)
-  wall_s : float;  (** elapsed seconds, monotonic clock *)
   before : snapshot;
   after : snapshot;
   detail : Pass.detail;
@@ -57,7 +55,6 @@ type result = {
       (** inline/promotion tree recorded by the optimization passes;
           shipped with the image for optimized-image profile lifting *)
   passes : pass_stats list;  (** in execution order *)
-  wall_s : float;  (** whole run, final hardening included; monotonic clock *)
 }
 
 val run :
@@ -90,8 +87,8 @@ val run :
       mutating a returned [profile] or [provenance] never reaches a later
       run.
     - {e Stats}: reused passes report the {!pass_stats} recorded when
-      the prefix ran, wall time included; [wall_s] of the result is this
-      run's own.  A reused run does no whole-program work on the input.
+      the prefix ran, which equal a cold run's.  A reused run does no
+      whole-program work on the input.
     - {e Trace}: a reused run emits each reused pass's [pass:<elem>]
       span with its [ir-delta] and [pass-detail] counters, so
       {!Pibe_trace.Trace.canonical} is the same either way; reuse traffic
@@ -104,8 +101,9 @@ val run :
       sees every pass. *)
 
 val table : ?title:string -> pass_stats list -> Pibe_util.Tbl.t
-(** Per-pass stats rendered as an aligned table: wall-clock milliseconds,
-    instruction/block/byte deltas, and remaining indirect edges. *)
+(** Per-pass stats rendered as an aligned table: function/block/
+    instruction/byte deltas, and remaining indirect edges, returns and
+    jump tables. *)
 
 val detail_lines : pass_stats -> string list
 (** Pass-specific statistics (promotions, inlines, folds) as short

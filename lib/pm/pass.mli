@@ -3,9 +3,9 @@
     A pass transforms the pipeline {!state} — the working program, the
     (mutable, pipeline-owned) profile, and the accumulated hardening
     request — and reports a typed {!detail} with its pass-specific
-    statistics.  The manager (see {!Manager}) wraps every [run] with
-    wall-clock timing, IR delta accounting and optional verification, so
-    passes themselves stay plain program transformations.
+    statistics.  The manager (see {!Manager}) wraps every [run] with a
+    trace span, IR delta accounting and optional verification, so passes
+    themselves stay plain program transformations.
 
     A pass is a pure function of its spec element and its input state:
     two instances with the same canonical spec text, run on equal states,

@@ -24,32 +24,40 @@ let check_keys ~pass ~allowed (args : Spec.arg list) =
 
 let lookup args key = List.find_opt (fun (a : Spec.arg) -> String.equal a.key key) args
 
-let float_opt ~pass args key =
+(* An option's value: absent, or parsed by [parse] and then checked
+   against [valid], whose accepted range [range] describes.  Errors name
+   the pass, the option and the value as written.  Callers pass closed
+   functions and literal strings, so a valid spec allocates nothing for
+   the checks. *)
+let value_opt ~pass args key ~example ~parse ~expects ~valid ~range =
   match lookup args key with
   | None -> Ok None
   | Some { value = None; _ } ->
-    Error (Printf.sprintf "pass %s: option %s needs a value (e.g. %s=99.9)" pass key key)
+    Error (Printf.sprintf "pass %s: option %s needs a value (e.g. %s=%s)" pass key key example)
   | Some { value = Some v; _ } -> (
-    match float_of_string_opt v with
-    | Some f -> Ok (Some f)
-    | None -> Error (Printf.sprintf "pass %s: option %s expects a number, got %S" pass key v))
+    match parse v with
+    | None -> Error (Printf.sprintf "pass %s: option %s expects %s, got %S" pass key expects v)
+    | Some x when not (valid x) ->
+      Error (Printf.sprintf "pass %s: option %s must be %s, got %S" pass key range v)
+    | Some x -> Ok (Some x))
 
-let float_arg ~pass args key ~default =
-  let* v = float_opt ~pass args key in
+(* Every float option is a percentage: finite and within [0, 100]. *)
+let pct_opt ~pass args key =
+  value_opt ~pass args key ~example:"99.9" ~parse:float_of_string_opt ~expects:"a number"
+    ~valid:(fun f -> Float.is_finite f && 0.0 <= f && f <= 100.0)
+    ~range:"a percentage in [0, 100]"
+
+let pct_arg ~pass args key ~default =
+  let* v = pct_opt ~pass args key in
   Ok (Option.value ~default v)
 
-let int_opt ~pass args key =
-  match lookup args key with
-  | None -> Ok None
-  | Some { value = None; _ } ->
-    Error (Printf.sprintf "pass %s: option %s needs a value (e.g. %s=3000)" pass key key)
-  | Some { value = Some v; _ } -> (
-    match int_of_string_opt v with
-    | Some i -> Ok (Some i)
-    | None -> Error (Printf.sprintf "pass %s: option %s expects an integer, got %S" pass key v))
+let int_opt ~pass args key ~valid ~range =
+  value_opt ~pass args key ~example:"3000" ~parse:int_of_string_opt ~expects:"an integer"
+    ~valid ~range
 
-let int_arg ~pass args key ~default =
-  let* v = int_opt ~pass args key in
+(* Every integer option but max-targets is a threshold: at least 0. *)
+let threshold_arg ~pass args key ~default =
+  let* v = int_opt ~pass args key ~valid:(fun i -> i >= 0) ~range:"at least 0" in
   Ok (Option.value ~default v)
 
 (* --------------------------- constructors --------------------------- *)
@@ -59,8 +67,10 @@ let make ?(request = false) (e : Spec.elem) run = { Pass.name = e.pass; spec = e
 let icp (e : Spec.elem) =
   let pass = e.pass in
   let* () = check_keys ~pass ~allowed:[ "budget"; "max-targets" ] e.args in
-  let* budget_pct = float_arg ~pass e.args "budget" ~default:Icp.default_config.Icp.budget_pct in
-  let* max_targets = int_opt ~pass e.args "max-targets" in
+  let* budget_pct = pct_arg ~pass e.args "budget" ~default:Icp.default_config.Icp.budget_pct in
+  let* max_targets =
+    int_opt ~pass e.args "max-targets" ~valid:(fun k -> k >= 1) ~range:"at least 1"
+  in
   let config = { Icp.budget_pct; max_targets } in
   Ok
     (make e (fun (st : Pass.state) ->
@@ -71,16 +81,14 @@ let inline (e : Spec.elem) =
   let pass = e.pass in
   let* () = check_keys ~pass ~allowed:[ "budget"; "lax"; "rule2"; "rule3" ] e.args in
   let d = Inliner.default_config in
-  let* budget_pct = float_arg ~pass e.args "budget" ~default:d.Inliner.budget_pct in
-  let* rule2_threshold = int_arg ~pass e.args "rule2" ~default:d.Inliner.rule2_threshold in
-  let* rule3_threshold = int_arg ~pass e.args "rule3" ~default:d.Inliner.rule3_threshold in
+  let* budget_pct = pct_arg ~pass e.args "budget" ~default:d.Inliner.budget_pct in
+  let* rule2_threshold = threshold_arg ~pass e.args "rule2" ~default:d.Inliner.rule2_threshold in
+  let* rule3_threshold = threshold_arg ~pass e.args "rule3" ~default:d.Inliner.rule3_threshold in
   let* lax_within_pct =
     match lookup e.args "lax" with
     | None -> Ok None
     | Some { value = None; _ } -> Ok (Some 99.0)
-    | Some { value = Some _; _ } ->
-      let* v = float_opt ~pass e.args "lax" in
-      Ok v
+    | Some { value = Some _; _ } -> pct_opt ~pass e.args "lax"
   in
   let config = { Inliner.budget_pct; rule2_threshold; rule3_threshold; lax_within_pct } in
   Ok
@@ -92,14 +100,14 @@ let llvm_inline (e : Spec.elem) =
   let pass = e.pass in
   let* () = check_keys ~pass ~allowed:[ "budget"; "hot"; "cold"; "cap" ] e.args in
   let d = Llvm_inliner.default_config in
-  let* budget_pct = float_arg ~pass e.args "budget" ~default:d.Llvm_inliner.budget_pct in
+  let* budget_pct = pct_arg ~pass e.args "budget" ~default:d.Llvm_inliner.budget_pct in
   let* hot_callee_threshold =
-    int_arg ~pass e.args "hot" ~default:d.Llvm_inliner.hot_callee_threshold
+    threshold_arg ~pass e.args "hot" ~default:d.Llvm_inliner.hot_callee_threshold
   in
   let* cold_callee_threshold =
-    int_arg ~pass e.args "cold" ~default:d.Llvm_inliner.cold_callee_threshold
+    threshold_arg ~pass e.args "cold" ~default:d.Llvm_inliner.cold_callee_threshold
   in
-  let* caller_cap = int_arg ~pass e.args "cap" ~default:d.Llvm_inliner.caller_cap in
+  let* caller_cap = threshold_arg ~pass e.args "cap" ~default:d.Llvm_inliner.caller_cap in
   let config =
     { Llvm_inliner.budget_pct; hot_callee_threshold; cold_callee_threshold; caller_cap }
   in
@@ -174,7 +182,7 @@ let budget_opt default =
     opt_type = "float";
     opt_default = Printf.sprintf "%g" default;
     opt_sample = Some "99.9";
-    opt_doc = "percent of cumulative profile weight to optimize";
+    opt_doc = "percent of cumulative profile weight to optimize, in [0, 100]";
   }
 
 let infos =
@@ -210,7 +218,7 @@ let infos =
             opt_type = "int";
             opt_default = "unbounded";
             opt_sample = Some "4";
-            opt_doc = "cap on promoted targets per site";
+            opt_doc = "cap on promoted targets per site, at least 1";
           };
         ];
     };
@@ -225,21 +233,21 @@ let infos =
             opt_type = "flag or float";
             opt_default = "off (bare flag = 99)";
             opt_sample = None;
-            opt_doc = "lax candidate window, percent of the hottest weight";
+            opt_doc = "lax candidate window, percent of the hottest weight, in [0, 100]";
           };
           {
             opt_key = "rule2";
             opt_type = "int";
             opt_default = string_of_int Inliner.default_config.Inliner.rule2_threshold;
             opt_sample = Some "6";
-            opt_doc = "Rule-2 caller InlineCost threshold";
+            opt_doc = "Rule-2 caller InlineCost threshold, at least 0";
           };
           {
             opt_key = "rule3";
             opt_type = "int";
             opt_default = string_of_int Inliner.default_config.Inliner.rule3_threshold;
             opt_sample = Some "6";
-            opt_doc = "Rule-3 callee InlineCost threshold";
+            opt_doc = "Rule-3 callee InlineCost threshold, at least 0";
           };
         ];
     };
@@ -255,7 +263,7 @@ let infos =
             opt_default =
               string_of_int Llvm_inliner.default_config.Llvm_inliner.hot_callee_threshold;
             opt_sample = Some "64";
-            opt_doc = "callee size threshold at profiled-hot sites";
+            opt_doc = "callee size threshold at profiled-hot sites, at least 0";
           };
           {
             opt_key = "cold";
@@ -263,14 +271,14 @@ let infos =
             opt_default =
               string_of_int Llvm_inliner.default_config.Llvm_inliner.cold_callee_threshold;
             opt_sample = Some "2";
-            opt_doc = "callee size threshold elsewhere";
+            opt_doc = "callee size threshold elsewhere, at least 0";
           };
           {
             opt_key = "cap";
             opt_type = "int";
             opt_default = string_of_int Llvm_inliner.default_config.Llvm_inliner.caller_cap;
             opt_sample = Some "12";
-            opt_doc = "caller-growth InlineCost cap";
+            opt_doc = "caller-growth InlineCost cap, at least 0";
           };
         ];
     };

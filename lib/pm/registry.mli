@@ -18,6 +18,12 @@
       (implied by any defense at hardening time; idempotent).
     - [rsb-refill] — stuff the RSB at every kernel entry (§6.4).
 
+    Every percentage ([budget], [lax=PCT]) must be finite and between 0
+    and 100, [max-targets] at least 1, and the integer thresholds
+    ([rule2], [rule3], [hot], [cold], [cap]) at least 0; {!find} rejects
+    anything else with a message naming the pass, the option and the
+    value.
+
     The defense passes and [rsb-refill] are tagged as hardening requests
     ({!Pass.t}'s [request]); the others transform the IR and form the
     optimization prefix the manager may reuse. *)

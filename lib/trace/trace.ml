@@ -4,7 +4,7 @@
    deterministic — only timestamps, domain ids and the "sched" category
    depend on scheduling, and `canonical` strips exactly those. *)
 
-type value = Int of int | Float of float | Str of string | Dur_ms of float
+type value = Int of int | Float of float | Str of string
 type phase = Begin | End | Instant | Counter
 
 type event = {
@@ -22,8 +22,6 @@ let enabled () = Atomic.get enabled_flag
 let lock = Mutex.create ()
 let buf : event list ref = ref []
 let seq_counter = Atomic.make 0
-
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let emit ph ?(cat = "") ?(args = []) name =
   if Atomic.get enabled_flag then begin
@@ -129,7 +127,6 @@ let check_balanced evs =
 let numeric = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
-  | Dur_ms f -> Some f
   | Str _ -> None
 
 let counter_totals evs =
@@ -154,7 +151,6 @@ let counter_totals evs =
 let value_to_string = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.6g" f
-  | Dur_ms f -> Printf.sprintf "%.3f" f
   | Str s -> s
 
 let phase_to_string = function
@@ -163,35 +159,25 @@ let phase_to_string = function
   | Instant -> "I"
   | Counter -> "C"
 
-let args_to_string ?(mask_durations = false) args =
-  String.concat ";"
-    (List.map
-       (fun (k, v) ->
-         let v =
-           match v with
-           | Dur_ms _ when mask_durations -> "_"
-           | v -> value_to_string v
-         in
-         k ^ "=" ^ v)
-       args)
+let args_to_string args =
+  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ value_to_string v) args)
 
 let canonical evs =
   evs
   |> List.filter (fun e -> not (String.equal e.cat "sched"))
   |> List.map (fun e ->
          Printf.sprintf "%s|%s|%s|%s" (phase_to_string e.ph) e.cat e.name
-           (args_to_string ~mask_durations:true e.args))
+           (args_to_string e.args))
   |> List.sort String.compare
 
 (* ------------------------------ sinks ------------------------------ *)
 
 type format = Text | Csv | Chrome
 
-let format_of_string = function
-  | "text" -> Ok Text
-  | "csv" -> Ok Csv
-  | "chrome" | "json" -> Ok Chrome
-  | other -> Error (Printf.sprintf "unknown trace format %S (expected chrome, csv or text)" other)
+let format_of_path path =
+  if Filename.check_suffix path ".json" then Chrome
+  else if Filename.check_suffix path ".csv" then Csv
+  else Text
 
 let format_to_string = function Text -> "text" | Csv -> "csv" | Chrome -> "chrome"
 
@@ -279,7 +265,7 @@ let json_escape s =
 
 let json_value = function
   | Int i -> string_of_int i
-  | Float f | Dur_ms f ->
+  | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
     else Printf.sprintf "%.6g" f
   | Str s -> "\"" ^ json_escape s ^ "\""

@@ -19,20 +19,13 @@
     Determinism contract: everything an instrumented run computes is a
     pure function of its seeds, so event {e content} is deterministic.
     The execution-dependent residue is confined to three places —
-    timestamps, domain ids, and events in the ["sched"] category (work
-    distribution) plus {!Dur_ms} argument values (wall clock).
+    timestamps (host time), domain ids, and events in the ["sched"]
+    category (work distribution).
     {!canonical} strips exactly that residue and stable-sorts the rest, so
     a run at [--jobs 1] and a run at [--jobs 4] yield byte-identical
     canonical streams (also pinned by the tests). *)
 
-type value =
-  | Int of int
-  | Float of float
-  | Str of string
-  | Dur_ms of float
-      (** A wall-clock-derived duration in milliseconds: rendered like a
-          float by every sink but excluded from {!canonical} content,
-          because wall time is not deterministic. *)
+type value = Int of int | Float of float | Str of string
 
 type phase =
   | Begin  (** span opened *)
@@ -68,12 +61,6 @@ val events : unit -> event list
 
 val clear : unit -> unit
 
-val now_s : unit -> float
-(** Seconds on the monotonic clock that timestamps events, whether or
-    not collection is on.  Only differences mean anything: time
-    intervals with it, not with [Unix.gettimeofday], which jumps when
-    the system clock is stepped. *)
-
 (** {1 Emission} *)
 
 val span : ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
@@ -106,16 +93,17 @@ val counter_totals : event list -> ((string * string * string) * float) list
 val canonical : event list -> string list
 (** The deterministic payload of a stream: one line per event holding
     phase, category, name and arguments — timestamps, domain ids and
-    sequence numbers dropped, [Dur_ms] values masked, ["sched"]-category
-    events removed — stable-sorted.  Equal for equal seeded work at any
-    job count. *)
+    sequence numbers dropped, ["sched"]-category events removed —
+    stable-sorted.  Equal for equal seeded work at any job count. *)
 
 (** {1 Sinks} *)
 
 type format = Text | Csv | Chrome
 
-val format_of_string : string -> (format, string) result
-(** ["text"], ["csv"], ["chrome"] (or ["json"]). *)
+val format_of_path : string -> format
+(** The sink a trace file's extension asks for: [.json] is {!Chrome},
+    [.csv] is {!Csv}, anything else {!Text}.  Every program that writes a
+    trace picks its sink with this one rule. *)
 
 val format_to_string : format -> string
 

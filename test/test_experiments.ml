@@ -231,7 +231,7 @@ let test_passes_instrumentation () =
     let remaining_icalls t =
       List.filter_map
         (function
-          | Tbl.Str p :: _ :: _ :: _ :: _ :: _ :: Tbl.Int icalls :: _ -> Some (p, icalls)
+          | Tbl.Str p :: _ :: _ :: _ :: _ :: Tbl.Int icalls :: _ -> Some (p, icalls)
           | _ -> None)
         (Tbl.rows t)
     in

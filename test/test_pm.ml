@@ -96,9 +96,89 @@ let test_registry_rejections () =
   (match resolve "icp(budget=hot)" with
   | Error e -> Alcotest.(check bool) "bad number named" true (contains e "budget")
   | Ok () -> Alcotest.fail "bad number accepted");
-  match resolve "cleanup(budget=1)" with
+  (match resolve "cleanup(budget=1)" with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "cleanup should take no options"
+  | Ok () -> Alcotest.fail "cleanup should take no options");
+  (* Out-of-range values: the error names the pass, the option and the
+     value as written. *)
+  List.iter
+    (fun (pass, key, value) ->
+      let text = Printf.sprintf "%s(%s=%s)" pass key value in
+      match resolve text with
+      | Error e ->
+        List.iter
+          (fun part ->
+            Alcotest.(check bool) (Printf.sprintf "%s: error names %s" text part) true
+              (contains e part))
+          [ "pass " ^ pass; key; value ]
+      | Ok () -> Alcotest.failf "%s accepted" text)
+    [
+      ("icp", "max-targets", "0");
+      ("icp", "max-targets", "-1");
+      ("icp", "budget", "nan");
+      ("icp", "budget", "inf");
+      ("icp", "budget", "1e999");
+      ("icp", "budget", "-5");
+      ("icp", "budget", "250");
+      ("inline", "budget", "-inf");
+      ("inline", "budget", "100.5");
+      ("inline", "lax", "nan");
+      ("inline", "lax", "-0.5");
+      ("inline", "rule2", "-1");
+      ("inline", "rule3", "-1");
+      ("llvm-inline", "budget", "inf");
+      ("llvm-inline", "hot", "-1");
+      ("llvm-inline", "cold", "-1");
+      ("llvm-inline", "cap", "-1");
+    ];
+  (* ... and the ends of each range are accepted *)
+  List.iter
+    (fun text ->
+      match resolve text with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s rejected: %s" text e)
+    [
+      "icp(budget=0,max-targets=1)";
+      "icp(budget=100)";
+      "inline(budget=0,lax=0,rule2=0,rule3=0)";
+      "inline(lax=100)";
+      "llvm-inline(budget=100,hot=0,cold=0,cap=0)";
+    ]
+
+(* Every documented option of every pass, set to each edge value: the
+   registry rejects what a pass cannot run, and every spec it accepts
+   runs on the quick kernel, validated between passes, without raising. *)
+let test_registry_option_edges () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let values =
+    [ "0"; "-1"; "nan"; "inf"; "-inf"; "1e999"; "100"; "250"; string_of_int max_int;
+      string_of_int min_int ]
+  in
+  let accepted = ref 0 in
+  List.iter
+    (fun (i : Registry.pass_info) ->
+      List.iter
+        (fun (o : Registry.opt_info) ->
+          List.iter
+            (fun v ->
+              let elem = Spec.elem ~args:[ (o.Registry.opt_key, Some v) ] i.Registry.info_name in
+              let spec = [ elem ] in
+              match Registry.of_spec spec with
+              | Error _ -> ()
+              | Ok passes -> (
+                incr accepted;
+                match Manager.run ~verify:true prog profile passes with
+                | _ -> ()
+                | exception e ->
+                  Alcotest.failf "%s raised %s" (Spec.to_string spec) (Printexc.to_string e)))
+            values)
+        i.Registry.info_opts)
+    Registry.infos;
+  (* budget and lax: 0 and 100; max-targets: 100, 250 and max_int; the
+     integer thresholds: 0, 100, 250 and max_int *)
+  Alcotest.(check int) "specs accepted" 31 !accepted
 
 let test_registry_accepts_all_names () =
   List.iter
@@ -310,9 +390,9 @@ let interleaved = List.concat_map (fun d -> List.map (fun o -> config o d) level
 
 let label (c : Pibe.Config.t) = Spec.to_string (Pibe.Pipeline.spec_of_config c)
 
-(* Checks that two builds hand back the same thing, wall-clock times
-   aside: the image (program, protections, size), the per-pass stats,
-   the post-ICP profile and the provenance. *)
+(* Checks that two builds hand back the same thing: the image (program,
+   protections, size), the per-pass stats, the post-ICP profile and the
+   provenance. *)
 let check_same_build what (a : Pibe.Pipeline.built) (b : Pibe.Pipeline.built) =
   let pa = a.Pibe.Pipeline.image.Pass.prog and pb = b.Pibe.Pipeline.image.Pass.prog in
   let funcs p = List.map (Program.find p) (Program.layout_order p) in
@@ -328,12 +408,10 @@ let check_same_build what (a : Pibe.Pipeline.built) (b : Pibe.Pipeline.built) =
     (Pass.image_bytes i, i.Pass.hardened_icall_sites, i.Pass.hardened_ret_sites, i.Pass.defenses)
   in
   Alcotest.(check bool) (what ^ ": image bytes and protections") true (img a = img b);
-  let stats (b : Pibe.Pipeline.built) =
-    List.map
-      (fun (s : Manager.pass_stats) -> { s with Manager.wall_s = 0.0 })
-      b.Pibe.Pipeline.pass_stats
-  in
-  Alcotest.(check bool) (what ^ ": pass stats") true (stats a = stats b);
+  Alcotest.(check bool)
+    (what ^ ": pass stats")
+    true
+    (a.Pibe.Pipeline.pass_stats = b.Pibe.Pipeline.pass_stats);
   Alcotest.(check string) (what ^ ": post-ICP profile")
     (Profile.to_string a.Pibe.Pipeline.post_icp_profile)
     (Profile.to_string b.Pibe.Pipeline.post_icp_profile);
@@ -416,6 +494,75 @@ let test_prefix_reuse_mutation_safety () =
   check_same_build "hit after scribbling on a miss" reference hit;
   scribble hit;
   check_same_build "hit after scribbling on a hit" reference (Pibe.Pipeline.build prog fresh cfg)
+
+(* A cell that raises inside [Pool.map] leaves the shared state usable.
+   Three cells run on two domains under a trace: a cold build, a build
+   whose check hook raises on its second pass, and an engine on a fresh
+   parse followed by a raise inside a span.  One of the two exceptions
+   comes back after the join, the stopped stream is balanced, the engine
+   cell's program stays in the compile cache, and a sequential re-run of
+   the good build hits the prefix cache and matches a cold build of a
+   physically distinct parse. *)
+let test_pool_failure_leaves_state_usable () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let text = Pibe_ir.Printer.program_to_string prog in
+  let cfg = Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses in
+  let fresh = Profile.copy profile in
+  let good = ref None and parsed = ref None in
+  let cell = function
+    | `Build -> good := Some (Pibe.Pipeline.build ~verify:true prog fresh cfg)
+    | `Failing_check ->
+      let calls = ref 0 in
+      let check _ =
+        incr calls;
+        if !calls = 2 then failwith "check: second pass"
+      in
+      ignore (Pibe.Pipeline.run_spec ~check prog profile (Pibe.Pipeline.spec_of_config cfg))
+    | `Failing_span ->
+      let p = Pibe_ir.Parser.parse_program text in
+      parsed := Some p;
+      ignore (Pibe_cpu.Engine.create p);
+      Trace.span "failing-cell" (fun () -> failwith "span: cell failed")
+  in
+  let pool = Pibe_util.Pool.create ~jobs:2 () in
+  let outcome, events =
+    Fun.protect
+      ~finally:(fun () -> if Trace.enabled () then ignore (Trace.stop ()))
+      (fun () ->
+        Trace.start ();
+        let outcome =
+          match Pibe_util.Pool.map pool cell [ `Build; `Failing_check; `Failing_span ] with
+          | _ -> None
+          | exception Failure m -> Some m
+        in
+        (outcome, Trace.stop ()))
+  in
+  Alcotest.(check bool)
+    "a cell's exception is re-raised after the join" true
+    (List.mem outcome [ Some "check: second pass"; Some "span: cell failed" ]);
+  (match Trace.check_balanced events with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unbalanced trace after a failing cell: %s" e);
+  (match !parsed with
+  | None -> Alcotest.fail "the engine cell did not run"
+  | Some p ->
+    let hits, misses = Pibe_cpu.Engine.compile_cache_stats () in
+    ignore (Pibe_cpu.Engine.create p);
+    Alcotest.(check (pair int int))
+      "engine cell's program still cached" (hits + 1, misses)
+      (Pibe_cpu.Engine.compile_cache_stats ()));
+  let prog_copy = Pibe_ir.Parser.parse_program text in
+  let cold = cold_build prog_copy profile cfg in
+  (match !good with
+  | None -> Alcotest.fail "the good cell did not finish"
+  | Some b -> check_same_build "build beside failing cells" cold b);
+  match traced_builds prog fresh [ cfg ] with
+  | [ rerun ], (hits, misses) ->
+    Alcotest.(check (pair int int)) "re-run: prefix hits, misses" (1, 0) (hits, misses);
+    check_same_build "sequential re-run" cold rerun
+  | _ -> Alcotest.fail "expected one build"
 
 (* The manager's snapshot sums function sizes instead of building a
    layout; both must agree on the pristine kernel and after every
@@ -547,6 +694,7 @@ let suite =
     ("spec whitespace/canonical form", `Quick, test_spec_whitespace_and_canonical);
     ("spec rejects malformed input", `Quick, test_spec_rejects_malformed);
     ("registry diagnostics", `Quick, test_registry_rejections);
+    ("registry option edges run or are rejected", `Quick, test_registry_option_edges);
     ("registry resolves every name", `Quick, test_registry_accepts_all_names);
     ("registry docs round-trip the grammar", `Quick, test_registry_infos_round_trip);
     ("config lowering round-trips", `Quick, test_spec_of_config_round_trips);
@@ -557,5 +705,6 @@ let suite =
     ("prefix reuse matches cold builds", `Slow, test_prefix_reuse_matches_cold);
     ("prefix reuse is mutation-safe", `Quick, test_prefix_reuse_mutation_safety);
     ("prefix reuse bypassed by a check hook", `Quick, test_prefix_reuse_bypassed_by_check);
+    ("a failing pool cell leaves state usable", `Quick, test_pool_failure_leaves_state_usable);
     ("best config, all defenses: pinned build", `Quick, test_best_all_defenses_pinned);
   ]

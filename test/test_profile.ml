@@ -498,6 +498,66 @@ let test_provenance_rejects_garbage () =
         (Printf.sprintf "inline @a @b 1 2 %d 4 none\ninline @a @c 3 4 %d 4 none\n" max_int
            max_int))
 
+(* ------------------------- reader mutation fuzz --------------------- *)
+
+type edit = Sub | Del | Ins
+
+(* 1-4 byte edits; a position is reduced modulo the length of the text
+   it lands in, so the same edit list applies to any text.  Half the new
+   bytes come from the readers' own alphabet, so mutants often stay
+   close to well formed. *)
+let edits_gen =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [
+        map Char.chr (int_range 0 255);
+        oneofl [ '0'; '1'; '9'; '-'; '='; ' '; '\n'; '@'; '{'; '}'; 'a' ];
+      ]
+  in
+  list_size (int_range 1 4) (triple (oneofl [ Sub; Del; Ins ]) nat byte)
+
+let print_edits =
+  QCheck.Print.list (fun (kind, pos, c) ->
+      Printf.sprintf "%s %d %C" (match kind with Sub -> "sub" | Del -> "del" | Ins -> "ins") pos c)
+
+let apply_edit text (kind, pos, c) =
+  let n = String.length text in
+  match kind with
+  | Sub when n > 0 -> String.mapi (fun i x -> if i = pos mod n then c else x) text
+  | Del when n > 0 ->
+    let i = pos mod n in
+    String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | Sub | Del | Ins ->
+    let i = pos mod (n + 1) in
+    String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+
+(* A reader given a byte-mutated real file returns a value or raises the
+   located [Parse_error]; any other exception fails the property. *)
+let prop_reader_mutants name text read =
+  QCheck.Test.make ~name ~count:300 (QCheck.make ~print:print_edits edits_gen) (fun edits ->
+      let mutant = List.fold_left apply_edit (Lazy.force text) edits in
+      match read mutant with
+      | _ -> true
+      | exception Parser.Parse_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let training_profile_text =
+  lazy (Profile.to_string (Pibe.Env.lmbench_profile (Helpers.env ())))
+
+let best_provenance_text =
+  lazy
+    (let cfg = Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses in
+     Provenance.to_string (Pibe.Env.build (Helpers.env ()) cfg).Pibe.Pipeline.provenance)
+
+let prop_profile_mutants =
+  prop_reader_mutants "profile reader survives byte mutants" training_profile_text (fun t ->
+      ignore (Profile.of_string t))
+
+let prop_provenance_mutants =
+  prop_reader_mutants "provenance reader survives byte mutants" best_provenance_text (fun t ->
+      ignore (Provenance.of_string t))
+
 (* -------------------------- staleness matching ---------------------- *)
 
 (* The program's site origins, split by call kind, plus its function
@@ -789,6 +849,8 @@ let suite =
     ("provenance copy is independent", `Quick, test_provenance_copy_independent);
     ("version counts every mutation", `Quick, test_version_counts_mutations);
     ("provenance rejects garbage", `Quick, test_provenance_rejects_garbage);
+    Helpers.qcheck_to_alcotest prop_profile_mutants;
+    Helpers.qcheck_to_alcotest prop_provenance_mutants;
     ("match_to: empty profile", `Quick, test_match_to_empty_profile);
     ("match_to: all sites vanished", `Quick, test_match_to_all_sites_vanished);
     ("match_to: site-id kind collision", `Quick, test_match_to_kind_collision);

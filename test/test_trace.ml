@@ -171,6 +171,21 @@ let test_text_and_csv_sinks () =
     (List.length lines);
   Alcotest.(check string) "csv header" "seq,dom,ph,cat,name,t_us,args" (List.hd lines)
 
+(* The one rule bench/main.exe and pibe_cli share for picking a sink. *)
+let test_format_of_path () =
+  List.iter
+    (fun (path, fmt) ->
+      Alcotest.(check string) path (Trace.format_to_string fmt)
+        (Trace.format_to_string (Trace.format_of_path path)))
+    [
+      ("run.json", Trace.Chrome);
+      ("_build/smoke/bench.trace.json", Trace.Chrome);
+      ("run.csv", Trace.Csv);
+      ("run.txt", Trace.Text);
+      ("run", Trace.Text);
+      ("run.json.txt", Trace.Text);
+    ]
+
 let test_json_parser_negatives () =
   (match Json.parse "[1, 2" with
   | Error _ -> ()
@@ -310,6 +325,7 @@ let suite =
     Alcotest.test_case "chrome sink round-trips through JSON parser" `Quick
       test_chrome_roundtrip;
     Alcotest.test_case "text and csv sinks" `Quick test_text_and_csv_sinks;
+    Alcotest.test_case "sink follows the file extension" `Quick test_format_of_path;
     Alcotest.test_case "json parser accepts/rejects correctly" `Quick
       test_json_parser_negatives;
     Alcotest.test_case "counter totals merge across domains" `Quick

@@ -15,20 +15,24 @@ test:
 # Everything a PR must keep green: build, the full test suite (which
 # includes the golden test/golden/bench.t: every bench/main.exe --quick
 # output at --jobs 1, --jobs 2 and on the interpreter, plus the benchmark
-# self-test), the doc lint (see `docs`), a pass-manager smoke run with
-# inter-pass IR validation on (traced, so the trace layer stays wired end
-# to end), the same validation on the paper-scale kernel, whose lax
-# inlining grows syscall_entry to about 2,000 blocks, an out-of-range
-# pass option that pipeline must reject with exit status 1 and a message
-# naming the pass, the option and the value, the on-disk profile round
-# trip (profile, then optimize from the written file), the two call-edge
-# hook consumers outside the collector (trace, perf), a malformed profile
-# that optimize must reject with exit status 1 and a FILE:LINE message,
-# and a one-window continuous-profiling smoke on the tiny kernel.
+# self-test), the doc lint (see `docs`), a lint that keeps every
+# process-wide cache on lib/util/memo.ml (no other lib/ module may call
+# Mutex.create, except the trace buffer and compile2's lazy link locks),
+# a pass-manager smoke run with inter-pass IR validation on (traced, so
+# the trace layer stays wired end to end), the same validation on the
+# paper-scale kernel, whose lax inlining grows syscall_entry to about
+# 2,000 blocks, an out-of-range pass option that pipeline must reject
+# with exit status 1 and a message naming the pass, the option and the
+# value, the on-disk profile round trip (profile, then optimize from the
+# written file), the two call-edge hook consumers outside the collector
+# (trace, perf), a malformed profile that optimize must reject with exit
+# status 1 and a FILE:LINE message, and a one-window continuous-profiling
+# smoke on the tiny kernel.
 check:
 	dune build
 	dune runtest
 	sh tools/check_mli_docs.sh
+	! grep -l 'Mutex.create' lib/*/*.ml | grep -vx -e lib/util/memo.ml -e lib/trace/trace.ml -e lib/cpu/compile2.ml
 	mkdir -p $(SCRATCH)
 	dune exec bin/pibe_cli.exe -- pipeline --scale 1 \
 	  --passes "icp(budget=99.999),inline(budget=99.9,lax),cleanup,retpoline,ret-retpoline" \

@@ -2,14 +2,17 @@ module Profile = Pibe_profile.Profile
 module Rng = Pibe_util.Rng
 module Stats = Pibe_util.Stats
 module Pool = Pibe_util.Pool
+module Memo = Pibe_util.Memo
 
-(* Caches are guarded by [lock]; expensive steps (kernel generation,
-   profiling, builds, measurement) run OUTSIDE the lock so independent
+(* Every cache is a {!Memo}: expensive steps (kernel generation,
+   profiling, builds, measurement) run outside its lock so independent
    cells proceed concurrently.  Two domains racing on the same cold key
-   may both compute it — every step is deterministic (fixed seeds, own
-   engine), so both results are identical and the second insert is a
-   no-op.  [warm] pre-computes the shared prerequisites once to keep that
-   duplication off the expensive paths. *)
+   may both compute it; every step is deterministic (fixed seeds, own
+   engine), so both results are identical and the first one recorded is
+   the one every caller gets.  [warm] pre-computes the shared
+   prerequisites once to keep that duplication off the expensive paths.
+   The kernel and the two profiles are one-entry memos; builds and
+   latencies are unbounded and compare configurations structurally. *)
 
 type t = {
   scale : int;
@@ -19,12 +22,11 @@ type t = {
   verify : bool;
   engine : Pibe_cpu.Engine.backend;
   pool : Pool.t;
-  lock : Mutex.t;
-  mutable kernel : Pibe_kernel.Gen.info option;
-  mutable lmb_profile : Profile.t option;
-  mutable ap_profile : Profile.t option;
-  builds : (Config.t, Pipeline.built) Hashtbl.t;
-  lat_cache : (Config.t, (string * float) list) Hashtbl.t;
+  kernel : (unit, Pibe_kernel.Gen.info) Memo.t;
+  lmb_profile : (unit, Profile.t) Memo.t;
+  ap_profile : (unit, Profile.t) Memo.t;
+  builds : (Config.t, Pipeline.built) Memo.t;
+  lat_cache : (Config.t, (string * float) list) Memo.t;
 }
 
 let create ?(scale = 3) ?(seed = 42) ?(settings = Measure.default_settings)
@@ -36,6 +38,8 @@ let create ?(scale = 3) ?(seed = 42) ?(settings = Measure.default_settings)
   (match engine with
   | Some b -> Pibe_cpu.Engine.set_default_backend b
   | None -> ());
+  let cell () = Memo.create ~capacity:1 ~equal:(fun () () -> true) () in
+  let table () = Memo.create ~equal:(fun a b -> compare a b = 0) () in
   {
     scale;
     seed;
@@ -47,12 +51,11 @@ let create ?(scale = 3) ?(seed = 42) ?(settings = Measure.default_settings)
       | Some b -> b
       | None -> Pibe_cpu.Engine.default_backend ());
     pool = Pool.create ~jobs ();
-    lock = Mutex.create ();
-    kernel = None;
-    lmb_profile = None;
-    ap_profile = None;
-    builds = Hashtbl.create 16;
-    lat_cache = Hashtbl.create 16;
+    kernel = cell ();
+    lmb_profile = cell ();
+    ap_profile = cell ();
+    builds = table ();
+    lat_cache = table ();
   }
 
 let quick ?(jobs = 1) ?(verify = true) ?engine () =
@@ -72,38 +75,17 @@ let par_map t f xs =
   in
   Pibe_trace.Trace.span ~cat:"sched" "env:par_map" ~args (fun () -> Pool.map t.pool f xs)
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let info t =
-  match locked t (fun () -> t.kernel) with
-  | Some i -> i
-  | None ->
-    let i = Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = t.seed; scale = t.scale } in
-    locked t (fun () ->
-        match t.kernel with
-        | Some i -> i
-        | None ->
-          t.kernel <- Some i;
-          i)
+  Memo.get t.kernel () (fun () ->
+      Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = t.seed; scale = t.scale })
 
 let ops t = Pibe_kernel.Workload.lmbench (info t)
 let settings t = t.msettings
 let profile_iters t = t.profile_iters
 
 let lmbench_profile t =
-  match locked t (fun () -> t.lmb_profile) with
-  | Some p -> p
-  | None ->
-    let i = info t in
-    let p =
+  Memo.get t.lmb_profile () (fun () ->
+      let i = info t in
       Pipeline.profile i.Pibe_kernel.Gen.prog ~run:(fun engine ->
           let rng = Rng.create 11 in
           List.iter
@@ -111,66 +93,32 @@ let lmbench_profile t =
               for _ = 1 to t.profile_iters do
                 op.Pibe_kernel.Workload.run engine rng
               done)
-            (ops t))
-    in
-    locked t (fun () ->
-        match t.lmb_profile with
-        | Some p -> p
-        | None ->
-          t.lmb_profile <- Some p;
-          p)
+            (ops t)))
 
 let apache_profile t =
-  match locked t (fun () -> t.ap_profile) with
-  | Some p -> p
-  | None ->
-    let i = info t in
-    let mix = Pibe_kernel.Workload.apache i in
-    let p =
+  Memo.get t.ap_profile () (fun () ->
+      let i = info t in
+      let mix = Pibe_kernel.Workload.apache i in
       Pipeline.profile i.Pibe_kernel.Gen.prog ~run:(fun engine ->
           let rng = Rng.create 13 in
           for _ = 1 to t.profile_iters * 4 do
             mix.Pibe_kernel.Workload.request engine rng
-          done)
-    in
-    locked t (fun () ->
-        match t.ap_profile with
-        | Some p -> p
-        | None ->
-          t.ap_profile <- Some p;
-          p)
+          done))
 
 let build t config =
-  match locked t (fun () -> Hashtbl.find_opt t.builds config) with
-  | Some b -> b
-  | None ->
-    let i = info t in
-    let profile = lmbench_profile t in
-    let b = Pipeline.build ~verify:t.verify i.Pibe_kernel.Gen.prog profile config in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.builds config with
-        | Some b -> b
-        | None ->
-          Hashtbl.replace t.builds config b;
-          b)
+  Memo.get t.builds config (fun () ->
+      let i = info t in
+      let profile = lmbench_profile t in
+      Pipeline.build ~verify:t.verify i.Pibe_kernel.Gen.prog profile config)
 
 let build_with_profile t ~profile config =
   let i = info t in
   Pipeline.build ~verify:t.verify i.Pibe_kernel.Gen.prog profile config
 
 let latencies t config =
-  match locked t (fun () -> Hashtbl.find_opt t.lat_cache config) with
-  | Some l -> l
-  | None ->
-    let b = build t config in
-    let engine = Pipeline.engine b in
-    let l = Measure.suite_latencies ~settings:t.msettings engine (ops t) in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.lat_cache config with
-        | Some l -> l
-        | None ->
-          Hashtbl.replace t.lat_cache config l;
-          l)
+  Memo.get t.lat_cache config (fun () ->
+      let engine = Pipeline.engine (build t config) in
+      Measure.suite_latencies ~settings:t.msettings engine (ops t))
 
 let distinct configs =
   let seen = Hashtbl.create 16 in
@@ -183,10 +131,8 @@ let distinct configs =
       end)
     configs
 
-let warm_with t ~mem step configs =
-  let cold =
-    List.filter (fun c -> not (locked t (fun () -> mem t c))) (distinct configs)
-  in
+let warm_with t memo step configs =
+  let cold = List.filter (fun c -> not (Memo.mem memo c)) (distinct configs) in
   if cold <> [] then begin
     (* shared prerequisites first, exactly once *)
     ignore (info t);
@@ -195,11 +141,8 @@ let warm_with t ~mem step configs =
     Pool.iter t.pool (fun c -> ignore (step t c)) cold
   end
 
-let warm t configs =
-  warm_with t ~mem:(fun t c -> Hashtbl.mem t.lat_cache c) latencies configs
-
-let warm_builds t configs =
-  warm_with t ~mem:(fun t c -> Hashtbl.mem t.builds c) build configs
+let warm t configs = warm_with t t.lat_cache latencies configs
+let warm_builds t configs = warm_with t t.builds build configs
 
 let overheads t ~baseline config =
   warm t [ baseline; config ];

@@ -5,10 +5,12 @@
     images and measured latency suites, so running all experiments in one
     process does each expensive step once.
 
-    The caches are thread-safe: with [jobs > 1] independent
-    (configuration, workload) cells may be built and measured on separate
-    domains via [par_map]/[warm].  Each cell gets its own engine and every
-    step is deterministic, so results are identical to a sequential run. *)
+    The caches are {!Pibe_util.Memo}s, so they are domain-safe: with
+    [jobs > 1] independent (configuration, workload) cells may be built
+    and measured on separate domains via [par_map]/[warm], and every
+    caller of one key gets the same physical value.  Each cell gets its
+    own engine and every step is deterministic, so results are identical
+    to a sequential run. *)
 
 type t
 

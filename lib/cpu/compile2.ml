@@ -259,74 +259,17 @@ let[@inline] zero_tail (zs : int array) n (fr : int array) =
 (* ------------------------- operands ---------------------------- *)
 
 (* The specialized bodies below use unchecked array accesses: every
-   static register index is validated once per function at
-   closure-construction time ([func_valid] in [make_prog] — Builder and
-   Validate both enforce the same bounds, so real programs always pass),
-   and every pooled frame/taint file has length >= the program-wide
+   static register index and block label was checked once per program
+   by [Machine.compile] ([func_valid]; Builder and Validate enforce the
+   same bounds, and a program that fails never reaches lowering), and
+   every pooled frame/taint file has length >= the program-wide
    [max_regs] >= the function's [nregs].  Global-memory accesses keep
    their explicit bounds check against the baked [mem_len] (the fault
-   path is observable semantics) and go unchecked only after it.  A
-   function with an out-of-range static index or block label lowers to a
-   closure that raises [Runtime_error] on entry instead — hand-built IR
-   that [Validate] would reject, so parity is not pinned there. *)
+   path is observable semantics) and go unchecked only after it. *)
 
 let cop : operand -> int array -> int = function
   | Imm i -> fun _ -> i
   | Reg r -> fun regs -> Array.unsafe_get regs r
-
-(* Static index validation backing the unchecked accesses above: all
-   register operands within [0, nregs), all successor labels within
-   [0, nblocks). *)
-let func_valid (cf : cfunc) : bool =
-  let nregs = cf.f.nregs in
-  let nblocks = Array.length cf.cblocks in
-  let ok = ref true in
-  let reg r = if r < 0 || r >= nregs then ok := false in
-  let op = function Imm _ -> () | Reg r -> reg r in
-  let expr = function
-    | Const _ -> ()
-    | Move o | Load o -> op o
-    | Binop (_, a, b) ->
-      op a;
-      op b
-  in
-  let label l = if l < 0 || l >= nblocks then ok := false in
-  Array.iter
-    (fun (b : Machine.cblock) ->
-      Array.iter
-        (fun i ->
-          match i with
-          | CAssign (d, e) ->
-            reg d;
-            expr e
-          | CStore (a, v) ->
-            op a;
-            op v
-          | CObserve v -> op v
-          | CCall { dst; args; _ } ->
-            Array.iter op args;
-            (match dst with Some d -> reg d | None -> ())
-          | CIcall { dst; fptr; args; _ } ->
-            op fptr;
-            Array.iter op args;
-            (match dst with Some d -> reg d | None -> ())
-          | CAsm_icall { fptr; _ } -> op fptr)
-        b.cinsts;
-      match b.cterm with
-      | Jmp l -> label l
-      | Br (c, l1, l2) ->
-        op c;
-        label l1;
-        label l2
-      | Switch { scrutinee; cases; default; _ } ->
-        op scrutinee;
-        Array.iter (fun (_, l) -> label l) cases;
-        label default
-      | Ret None -> ()
-      | Ret (Some v) -> op v)
-    cf.cblocks;
-  label cf.f.entry;
-  !ok
 
 (* ---------------------- fused segments ------------------------- *)
 
@@ -1350,30 +1293,14 @@ let compile (cv : Machine.compiled) ~mem_len : prog =
   let p = { c2by_id; mem_len; link_lock = Mutex.create () } in
   Array.iter
     (fun c2f ->
-      if not (func_valid c2f.c2) then begin
-        (* Out-of-range static register or label index: the unchecked
-           closure bodies must never be built for this function.  Only
-           hand-built IR that [Validate] rejects gets here; it fails on
-           entry instead of lowering. *)
-        let err : fexec =
-         fun _ ->
-          raise (Runtime_error ("invalid static indices in @" ^ c2f.c2.f.fname))
-        in
-        c2f.fexec_plain <- err;
-        c2f.fexec_spec <- err;
-        c2f.plain_linked <- true;
-        c2f.spec_linked <- true
-      end
-      else begin
-        c2f.fexec_plain <-
-          (fun t ->
-            link_now p c2f ~spec:false;
-            c2f.fexec_plain t);
-        c2f.fexec_spec <-
-          (fun t ->
-            link_now p c2f ~spec:true;
-            c2f.fexec_spec t)
-      end)
+      c2f.fexec_plain <-
+        (fun t ->
+          link_now p c2f ~spec:false;
+          c2f.fexec_plain t);
+      c2f.fexec_spec <-
+        (fun t ->
+          link_now p c2f ~spec:true;
+          c2f.fexec_spec t))
     c2by_id;
   p
 

@@ -14,7 +14,7 @@
     knob beyond the backend choice.
 
     Compilation output — the {!Machine.compiled} view plus the closure
-    program — is cached in a small LRU keyed on physical program
+    program — is cached in a {!Pibe_util.Memo} keyed on physical program
     identity alone, so alternating over a working set of programs (the
     online dual replay's deployed/pristine pair, attack drills over
     several images) compiles each program exactly once, whatever mix of
@@ -42,86 +42,36 @@ let default_backend () = Atomic.get default_backend_cell
 
 (* ----------------------- compile cache ------------------------- *)
 
-(* Bounded LRU over physically-distinct programs, MRU first.  The common
-   patterns are (a) many engines in a row over one image — attack drills,
-   measurement cells — and (b) an alternating working set — the online
+(* A {!Pibe_util.Memo} over physically distinct programs.  The common
+   patterns are (a) many engines in a row over one image (attack drills,
+   measurement cells) and (b) an alternating working set: the online
    dual replay flips deployed/pristine every window, each controller
    rebuild adds one fresh program, and parallel experiment cells sweep
    several images at once.  64 entries cover all of them with room for
-   wide sweeps.  Guarded by a mutex because engines are created from
-   worker domains too; a miss compiles outside the lock (duplicated work
-   is pure), and a racing domain's finished entry is adopted over our
-   own. *)
+   wide sweeps.
 
-(* An entry is keyed on physical program identity alone: the compiled
-   view and the closure program depend on nothing else — the plain and
+   An entry is keyed on physical program identity alone: the compiled
+   view and the closure program depend on nothing else (the plain and
    speculation variants live side by side in one closure program, and
-   interpreter engines use only the view — so every engine on one image
+   interpreter engines use only the view), so every engine on one image
    shares one entry (pinned by the cache-sharing test in
-   test_backend.ml). *)
+   test_backend.ml).  A program that fails the static index check
+   raises from [compile] and is never recorded. *)
 type cache_entry = {
-  cprog : Program.t;
   cview : compiled;
   cclosures : Compile2.prog;
 }
 
-let cache_capacity = 64
-let compile_lock = Mutex.create ()
-let cache : cache_entry list ref = ref []
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
-let compile_cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
+let cache : (Program.t, cache_entry) Pibe_util.Memo.t =
+  Pibe_util.Memo.create ~capacity:64 ~counter:"compile-cache" ~equal:( == ) ()
 
-(* Cache traffic depends on scheduling (which domain compiled first), so
-   the events live in the "sched" category that [Trace.canonical] strips
-   — like the pool's own events. *)
-let note_cache ~hit =
-  Atomic.incr (if hit then cache_hits else cache_misses);
-  if Pibe_trace.Trace.enabled () then
-    Pibe_trace.Trace.counter ~cat:"sched"
-      (if hit then "compile-cache-hit" else "compile-cache-miss")
-      [ ("count", Pibe_trace.Trace.Int 1) ]
-
-let rec truncate n = function
-  | [] -> []
-  | _ :: _ when n = 0 -> []
-  | e :: rest -> e :: truncate (n - 1) rest
-
-(* Splits out the entry for [prog], if cached: (entry, others). *)
-let take_entry prog entries =
-  let rec go acc = function
-    | [] -> None
-    | e :: rest when e.cprog == prog -> Some (e, List.rev_append acc rest)
-    | e :: rest -> go (e :: acc) rest
-  in
-  go [] entries
+let compile_cache_stats () = Pibe_util.Memo.stats cache
 
 let entry_for prog =
-  Mutex.lock compile_lock;
-  match take_entry prog !cache with
-  | Some (e, others) ->
-    cache := e :: others;
-    Mutex.unlock compile_lock;
-    note_cache ~hit:true;
-    e
-  | None ->
-    Mutex.unlock compile_lock;
-    note_cache ~hit:false;
-    let fresh =
+  Pibe_util.Memo.get cache prog (fun () ->
       Pibe_trace.Trace.span ~cat:"sched" "engine:compile" (fun () ->
           let cview = compile prog in
-          let cclosures = Compile2.compile cview ~mem_len:prog.Program.globals_size in
-          { cprog = prog; cview; cclosures })
-    in
-    Mutex.lock compile_lock;
-    let e, others =
-      match take_entry prog !cache with
-      | Some (e, others) -> (e, others)  (* another domain won the race *)
-      | None -> (fresh, !cache)
-    in
-    cache := truncate cache_capacity (e :: others);
-    Mutex.unlock compile_lock;
-    e
+          { cview; cclosures = Compile2.compile cview ~mem_len:prog.Program.globals_size }))
 
 (* ------------------------ construction ------------------------- *)
 

@@ -46,12 +46,12 @@
     [test/test_backend.ml] pin it; the golden [test/golden/bench.t]
     byte-compares full [--quick] bench output between the two backends.
 
-    Compilation output is cached in a small LRU keyed on {e physical}
-    program identity alone, so repeated [create] over a working set of
-    programs — attack drills, measurement cells, the online dual
-    replay's deployed/pristine alternation — compiles each program
-    exactly once, whatever backend or speculation setting each engine
-    uses.  Compile cost and cache traffic are visible as
+    Compilation output is cached in a {!Pibe_util.Memo} of 64 entries
+    keyed on {e physical} program identity alone, so repeated [create]
+    over a working set of programs — attack drills, measurement cells,
+    the online dual replay's deployed/pristine alternation — compiles
+    each program exactly once, whatever backend or speculation setting
+    each engine uses.  Compile cost and cache traffic are visible as
     ["sched"]-category [engine:compile] spans and
     [compile-cache-hit]/[compile-cache-miss] trace counters; linking a
     function additionally emits an [engine:link] span, and while tracing
@@ -152,20 +152,34 @@ exception Out_of_fuel
 
 val create : ?config:config -> ?backend:backend -> Program.t -> t
 (** [backend] defaults to {!default_backend}[ ()].  Both backends are
-    bit-exact against each other (see the parity contract above). *)
+    bit-exact against each other (see the parity contract above).
+
+    Raises [Runtime_error "invalid static indices in @f"] when a function
+    [f] reads or writes a register outside [\[0, nregs)], names a block
+    label outside its block array, or takes more parameters than it has
+    registers — IR that [Validate] rejects.  The check runs once per
+    program, whether or not [f] is ever called; a rejected program is
+    not cached, so every [create] on it raises. *)
 
 val backend : t -> backend
 (** The backend this engine executes with. *)
 
 val compile_cache_stats : unit -> int * int
-(** Process-wide [(hits, misses)] of the compile LRU since start — a hit
+(** Process-wide [(hits, misses)] of the compile memo since start — a hit
     means [create] reused a previously compiled program (physical
-    identity). *)
+    identity); a [create] that raises counts as a miss. *)
 
 val call : t -> string -> int list -> int option
 (** [call t fname args] runs the function to completion and returns its
-    return value.  Raises [Runtime_error] on wild indirect calls or
-    unknown functions; [Out_of_fuel] when the step budget is exhausted. *)
+    return value.  Raises [Runtime_error] on wild indirect calls, unknown
+    functions and calls deeper than {!max_call_depth}; [Out_of_fuel] when
+    the step budget is exhausted. *)
+
+val max_call_depth : int
+(** Activations one top-level [call] may stack, itself included (2{^16}).
+    A call that would go deeper raises [Runtime_error] on both backends
+    at the same point, after the call's i-cache and RSB charges and
+    before any callee state. *)
 
 val cycles : t -> int
 (** Accumulated simulated cycles since creation (or the last

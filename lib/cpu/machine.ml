@@ -210,6 +210,41 @@ let compile_func ~id ~slots intern (f : func) =
     frame_bytes = frame_bytes_of f.nregs;
   }
 
+(* [Array.for_all] without its per-call closure: validation runs over
+   every instruction of every program an engine is created on. *)
+let rec all_from p a i = i >= Array.length a || (p a.(i) && all_from p a (i + 1))
+
+let all p a = all_from p a 0
+
+(* Static index validation backing both backends' unchecked register,
+   frame and block accesses ([lib/cpu] builds with [-unsafe]): all
+   register operands within [0, nregs), all labels within [0, nblocks),
+   and no more parameters than registers (both entry paths copy the
+   arguments into the first [params] slots). *)
+let func_valid (cf : cfunc) =
+  let nregs = cf.f.nregs and nblocks = Array.length cf.cblocks in
+  let reg r = r >= 0 && r < nregs and label l = l >= 0 && l < nblocks in
+  let op = function Imm _ -> true | Reg r -> reg r in
+  let dst = function Some r -> reg r | None -> true in
+  let expr = function Const _ -> true | Move o | Load o -> op o | Binop (_, a, b) -> op a && op b in
+  let inst = function
+    | CAssign (d, e) -> reg d && expr e
+    | CStore (a, v) -> op a && op v
+    | CObserve v -> op v
+    | CCall { dst = d; args; _ } -> dst d && all op args
+    | CIcall { dst = d; fptr; args; _ } -> dst d && op fptr && all op args
+    | CAsm_icall { fptr; _ } -> op fptr
+  in
+  let term = function
+    | Jmp l -> label l
+    | Br (c, l1, l2) -> op c && label l1 && label l2
+    | Switch { scrutinee; cases; default; _ } ->
+      op scrutinee && label default && all (fun (_, l) -> label l) cases
+    | Ret v -> Option.fold ~none:true ~some:op v
+  in
+  cf.f.params >= 0 && cf.f.params <= nregs && label cf.f.entry
+  && all (fun b -> all inst b.cinsts && term b.cterm) cf.cblocks
+
 let compile prog =
   let order = Program.layout_order prog in
   let n = List.length order in
@@ -228,6 +263,11 @@ let compile prog =
            cf)
          order)
   in
+  Array.iter
+    (fun cf ->
+      if not (func_valid cf) then
+        raise (Runtime_error ("invalid static indices in @" ^ cf.f.fname)))
+    cby_id;
   {
     cfuncs;
     cby_id;
@@ -255,7 +295,23 @@ let footprint_of t cf =
    first use and reused by every later activation at that depth — no
    allocation on the call hot path.  Frames are sized to the largest
    register file in the program; only the first [nregs] slots are ever
-   read, and they are re-zeroed on entry (registers start at 0). *)
+   read, and they are re-zeroed on entry (registers start at 0).
+
+   The pools stop at [max_call_depth] activations: a call that needs a
+   deeper frame is the simulated stack-depth fault, a [Runtime_error]
+   raised on both backends at the same point (after the call's
+   [enter_code] and [Rsb.push], before any callee state), long before
+   the host stack could overflow.  The check sits on the pool-growth
+   branch only, so calls within the pool pay nothing. *)
+let max_call_depth = 1 lsl 16
+
+let grow_pool pool ~depth =
+  if depth >= max_call_depth then
+    raise (Runtime_error (Printf.sprintf "call depth exceeds %d activations" max_call_depth));
+  let len = Array.length pool in
+  let grown = Array.make (min max_call_depth (max 64 (max (2 * len) (depth + 1)))) [||] in
+  Array.blit pool 0 grown 0 len;
+  grown
 
 (* The pooled frame for [depth], with whatever contents its previous
    activation left: callers zero exactly the slots the callee can read
@@ -264,12 +320,7 @@ let footprint_of t cf =
    bounds-check-free: every [nregs] is <= [t.max_regs] = the pool frame
    length by construction. *)
 let raw_frame t ~depth =
-  (if depth >= Array.length t.frames then begin
-     let len = Array.length t.frames in
-     let grown = Array.make (max 64 (max (2 * len) (depth + 1))) [||] in
-     Array.blit t.frames 0 grown 0 len;
-     t.frames <- grown
-   end);
+  if depth >= Array.length t.frames then t.frames <- grow_pool t.frames ~depth;
   let fr = t.frames.(depth) in
   if Array.length fr = 0 then begin
     let fr = Array.make (max t.max_regs 1) 0 in
@@ -292,12 +343,8 @@ let frame t ~depth ~nregs =
    [raw_frame]: callers must overwrite every slot the activation can
    read before writing. *)
 let raw_taint_frame t ~depth =
-  (if depth >= Array.length t.taint_frames then begin
-     let len = Array.length t.taint_frames in
-     let grown = Array.make (max 64 (max (2 * len) (depth + 1))) [||] in
-     Array.blit t.taint_frames 0 grown 0 len;
-     t.taint_frames <- grown
-   end);
+  if depth >= Array.length t.taint_frames then
+    t.taint_frames <- grow_pool t.taint_frames ~depth;
   let fr = t.taint_frames.(depth) in
   if Array.length fr = 0 then begin
     let fr = Array.make (max t.max_regs 1) None in

@@ -48,9 +48,15 @@ let defenses_name d =
   | parts -> String.concat "+" parts
 
 (* Kind precedence when several forward (or backward) requests are
-   combined: the thunk-based retpoline/LVI family subsumes the check-based
-   CFI kinds (a retpoline never executes the predicted branch the check
-   would have to vet), and FineIBT subsumes the coarse label. *)
+   combined: each site keeps exactly one kind, the thunk-based
+   retpoline/LVI family wins over the check-based FineIBT/PAC kinds, and
+   FineIBT wins over the coarse label.  The thunk family does not
+   subsume the check kinds: the site loses whatever the dropped kind
+   blocked.  On the quick kernel FineIBT alone blocks the v2 and LVI
+   drills, yet lvi-cfi+fineibt admits v2 and retpolines+fineibt admits
+   LVI; pac-ret alone blocks both ret2spec drills, yet lvi-cfi+pac-ret
+   admits them.  Adding a defense can therefore revive a drill (the
+   ROADMAP's security-metamorphic item). *)
 let forward_kind d =
   match (d.retpolines, d.lvi) with
   | true, true -> Protection.F_fenced_retpoline

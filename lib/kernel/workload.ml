@@ -23,11 +23,16 @@ let sc info name =
 
 (* fd draws: Zipfian popularity within each fd class, so each dispatch
    table sees one dominant target plus a tail (paper Table 4). *)
-let file_fd rng = Rng.zipf rng ~n:64 ~s:1.1
-let pipe_fd rng = 64 + Rng.zipf rng ~n:16 ~s:1.0
-let tcp_fd rng = 80 + Rng.zipf rng ~n:20 ~s:1.1
-let udp_fd rng = 100 + Rng.zipf rng ~n:12 ~s:1.0
-let unix_fd rng = 112 + Rng.zipf rng ~n:12 ~s:1.0
+let file_fds = Rng.zipf_dist ~n:64 ~s:1.1
+let pipe_fds = Rng.zipf_dist ~n:16 ~s:1.0
+let tcp_fds = Rng.zipf_dist ~n:20 ~s:1.1
+let udp_fds = Rng.zipf_dist ~n:12 ~s:1.0
+let unix_fds = Rng.zipf_dist ~n:12 ~s:1.0
+let file_fd rng = Rng.zipf rng file_fds
+let pipe_fd rng = 64 + Rng.zipf rng pipe_fds
+let tcp_fd rng = 80 + Rng.zipf rng tcp_fds
+let udp_fd rng = 100 + Rng.zipf rng udp_fds
+let unix_fd rng = 112 + Rng.zipf rng unix_fds
 let buf_len rng = 1 + Rng.int rng 4000
 let path_id rng = Rng.int rng 1_000_000
 

@@ -107,44 +107,30 @@ let trace_pass_deltas ~before:(b : snapshot) ~after:(a : snapshot) detail =
    [verify].  [pstate]'s profile and provenance belong to the entry; a
    hit hands the caller copies, so nothing a caller mutates leaks into a
    later build. *)
+type prefix_key = {
+  kprog : Program.t;
+  kprofile : Profile.t;
+  kversion : int;
+  kspec : string;
+  kverify : bool;
+}
+
 type prefix = {
-  pprog : Program.t;
-  pprofile : Profile.t;
-  pversion : int;
-  pspec : string;
-  pverify : bool;
   pstate : Pass.state;
   pstats : pass_stats list;
   plast : snapshot;  (* after the prefix's last pass *)
 }
 
-(* A small LRU, MRU first, guarded like the engine's compile cache: a
-   miss computes outside the lock and a racing domain's finished entry
-   is adopted over our own.  Eight entries hold the four optimization
-   levels a paper table sweeps with room to spare. *)
-let prefix_capacity = 8
-let prefix_lock = Mutex.create ()
-let prefixes : prefix list ref = ref []
-
-let take_prefix ~prog ~profile ~version ~spec ~verify entries =
-  let rec go acc = function
-    | [] -> None
-    | e :: rest
-      when e.pprog == prog && e.pprofile == profile && e.pversion = version
-           && e.pverify = verify && String.equal e.pspec spec ->
-      Some (e, List.rev_append acc rest)
-    | e :: rest -> go (e :: acc) rest
-  in
-  go [] entries
-
-(* Whether a prefix was reused depends on what ran earlier in the
-   process (and, in parallel runs, on scheduling), so the traffic goes to
-   the "sched" category that [Trace.canonical] strips. *)
-let note_prefix ~hit =
-  if Trace.enabled () then
-    Trace.counter ~cat:"sched"
-      (if hit then "prefix-cache-hit" else "prefix-cache-miss")
-      [ ("count", Trace.Int 1) ]
+(* Eight entries hold the four optimization levels a paper table sweeps
+   with room to spare.  Whether a prefix was reused depends on what ran
+   earlier in the process (and, in parallel runs, on scheduling), so the
+   [prefix-cache-hit]/[-miss] counters are "sched" events. *)
+let prefixes : (prefix_key, prefix) Pibe_util.Memo.t =
+  Pibe_util.Memo.create ~capacity:8 ~counter:"prefix-cache"
+    ~equal:(fun a b ->
+      a.kprog == b.kprog && a.kprofile == b.kprofile && a.kversion = b.kversion
+      && a.kverify = b.kverify && String.equal a.kspec b.kspec)
+    ()
 
 let private_copy (st : Pass.state) =
   {
@@ -153,18 +139,29 @@ let private_copy (st : Pass.state) =
     provenance = Pibe_profile.Provenance.copy st.Pass.provenance;
   }
 
-(* [compute ()] runs the prefix cold.  A hit replays each reused pass's
-   span and counters, so the trace reads as it would after a cold run. *)
+(* [compute ()] runs the prefix cold; a miss returns that run's own state.
+   A hit replays each reused pass's span and counters, so the trace reads
+   as it would after a cold run. *)
 let reuse_prefix ~verify prog profile prefix ~compute =
-  let spec = Spec.to_string (List.map (fun (p : Pass.t) -> p.spec) prefix) in
-  let version = Profile.version profile in
-  let find () = take_prefix ~prog ~profile ~version ~spec ~verify !prefixes in
-  Mutex.lock prefix_lock;
-  match find () with
-  | Some (e, others) ->
-    prefixes := e :: others;
-    Mutex.unlock prefix_lock;
-    note_prefix ~hit:true;
+  let key =
+    {
+      kprog = prog;
+      kprofile = profile;
+      kversion = Profile.version profile;
+      kspec = Spec.to_string (List.map (fun (p : Pass.t) -> p.spec) prefix);
+      kverify = verify;
+    }
+  in
+  let cold = ref None in
+  let e =
+    Pibe_util.Memo.get prefixes key (fun () ->
+        let ((st, last, stats) as computed) = compute () in
+        cold := Some computed;
+        { pstate = private_copy st; pstats = stats; plast = last })
+  in
+  match !cold with
+  | Some computed -> computed
+  | None ->
     if Trace.enabled () then
       List.iter
         (fun s ->
@@ -172,31 +169,6 @@ let reuse_prefix ~verify prog profile prefix ~compute =
               trace_pass_deltas ~before:s.before ~after:s.after s.detail))
         e.pstats;
     (private_copy e.pstate, e.plast, e.pstats)
-  | None ->
-    Mutex.unlock prefix_lock;
-    note_prefix ~hit:false;
-    let ((st, last, stats) as computed) = compute () in
-    let fresh =
-      {
-        pprog = prog;
-        pprofile = profile;
-        pversion = version;
-        pspec = spec;
-        pverify = verify;
-        pstate = private_copy st;
-        pstats = stats;
-        plast = last;
-      }
-    in
-    Mutex.lock prefix_lock;
-    let e, others =
-      match find () with
-      | Some (e, others) -> (e, others)  (* another domain won the race *)
-      | None -> (fresh, !prefixes)
-    in
-    prefixes := List.filteri (fun i _ -> i < prefix_capacity) (e :: others);
-    Mutex.unlock prefix_lock;
-    computed
 
 (* The leading run of passes that are not hardening requests. *)
 let split_prefix passes =

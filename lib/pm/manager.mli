@@ -94,9 +94,9 @@ val run :
       {!Pibe_trace.Trace.canonical} is the same either way; reuse traffic
       shows only as ["sched"]-category [prefix-cache-hit] /
       [prefix-cache-miss] counters.
-    - {e Bound}: a process-wide LRU of 8 prefixes under a mutex; a miss
-      computes outside the lock, and a racing domain's entry is adopted
-      over its own.
+    - {e Bound}: a process-wide {!Pibe_util.Memo} of 8 prefixes; a
+      miss computes outside its lock, and a racing domain's entry is
+      adopted over its own.
     - A run given [?check] neither reuses nor records a prefix: the hook
       sees every pass. *)
 

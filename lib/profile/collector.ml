@@ -58,44 +58,17 @@ let build_tables prog =
   in
   { tprog = prog; layout; site_info; from_addrs; to_addrs }
 
-(* A small LRU over physically distinct programs, MRU first, modelled on
-   the engine's compile cache: the online loop profiles the same pristine
-   kernel every window, and the fleet creates collectors from pool
-   workers, hence the mutex.  A miss builds outside the lock (the work is
-   pure) and adopts a racing domain's finished entry over its own.  Which
-   domain builds first depends on scheduling, so the build span lives in
-   the "sched" category that canonical traces strip. *)
-let tables_capacity = 16
-let tables_lock = Mutex.create ()
-let tables_cache : tables list ref = ref []
-
-let take_tables prog entries =
-  let rec go acc = function
-    | [] -> None
-    | e :: rest when e.tprog == prog -> Some (e, List.rev_append acc rest)
-    | e :: rest -> go (e :: acc) rest
-  in
-  go [] entries
+(* A {!Pibe_util.Memo} over physically distinct programs: the online loop
+   profiles the same pristine kernel every window, and the fleet creates
+   collectors from pool workers.  Which domain builds first depends on
+   scheduling, so the build span lives in the "sched" category that
+   canonical traces strip. *)
+let tables_cache : (Program.t, tables) Pibe_util.Memo.t =
+  Pibe_util.Memo.create ~capacity:16 ~equal:( == ) ()
 
 let tables_for prog =
-  Mutex.lock tables_lock;
-  match take_tables prog !tables_cache with
-  | Some (e, others) ->
-    tables_cache := e :: others;
-    Mutex.unlock tables_lock;
-    e
-  | None ->
-    Mutex.unlock tables_lock;
-    let fresh = Trace.span ~cat:"sched" "collector:tables" (fun () -> build_tables prog) in
-    Mutex.lock tables_lock;
-    let e, others =
-      match take_tables prog !tables_cache with
-      | Some (e, others) -> (e, others)
-      | None -> (fresh, !tables_cache)
-    in
-    tables_cache := List.filteri (fun i _ -> i < tables_capacity) (e :: others);
-    Mutex.unlock tables_lock;
-    e
+  Pibe_util.Memo.get tables_cache prog (fun () ->
+      Trace.span ~cat:"sched" "collector:tables" (fun () -> build_tables prog))
 
 (* ------------------------ pair aggregation ------------------------- *)
 

@@ -26,8 +26,8 @@
     drain counts them in an int-keyed table, so a hooked run allocates
     nothing per edge.  The layout, the site identity map and both
     arrays depend only on the program, so they are built once per
-    physical program and shared, through a small domain-safe LRU, by
-    every collector created on it. *)
+    physical program and shared, through a 16-entry
+    {!Pibe_util.Memo}, by every collector created on it. *)
 
 type t
 

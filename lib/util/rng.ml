@@ -61,42 +61,28 @@ let geometric t ~p =
     let u = if u <= 0.0 then epsilon_float else u in
     int_of_float (Float.round (log u /. log (1.0 -. p)))
 
-(* The Zipf weight table is a pure function of (n, s), and the workloads
-   draw from a handful of fixed distributions millions of times — so the
-   table (and the [**] calls building it) is computed once per shape and
-   shared.  Lock-free: a racing domain recomputes the identical pure
-   value and the prepend retries, so every reader sees the same floats. *)
-let zipf_cache : ((int * float) * (float array * float)) list Atomic.t =
-  Atomic.make []
+(* Cumulative Zipf weights, summed left to right: a draw scans the
+   unboxed float array for the first bound above a uniform pick in
+   [0, total), without allocating.  [n] stays small (indirect-call
+   target lists). *)
+type zipf = { cum : float array; total : float }
 
-let zipf_table n s =
-  let rec find = function
-    | [] -> None
-    | ((n', (s' : float)), v) :: rest ->
-      if n' = n && s' = s then Some v else find rest
-  in
-  match find (Atomic.get zipf_cache) with
-  | Some v -> v
-  | None ->
-    let weights = Array.init n (fun k -> (float_of_int (k + 1)) ** (-.s)) in
-    let v = (weights, Array.fold_left ( +. ) 0.0 weights) in
-    let rec add () =
-      let cur = Atomic.get zipf_cache in
-      if not (Atomic.compare_and_set zipf_cache cur (((n, s), v) :: cur)) then
-        add ()
-    in
-    add ();
-    v
-
-let zipf t ~n ~s =
+let zipf_dist ~n ~s =
   assert (n > 0);
-  (* Linear-scan inverse CDF; [n] stays small (indirect-call target lists). *)
-  let weights, total = zipf_table n s in
-  let pick = float t total in
-  let rec go i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. weights.(i) in
-      if pick < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
+  let cum = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for k = 0 to n - 1 do
+    acc := !acc +. (float_of_int (k + 1) ** -.s);
+    cum.(k) <- !acc
+  done;
+  { cum; total = !acc }
+
+let zipf t d =
+  let pick = float t d.total in
+  let cum = d.cum in
+  let last = Array.length cum - 1 in
+  let i = ref 0 in
+  while !i < last && not (pick < cum.(!i)) do
+    incr i
+  done;
+  !i

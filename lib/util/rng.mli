@@ -48,7 +48,15 @@ val geometric : t -> p:float -> int
 (** [geometric t ~p] draws the number of failures before the first success
     of a Bernoulli(p) sequence; heavy-tailed counts for workload fan-out. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] draws in [\[0, n)] with Zipfian weight [1/(k+1)^s]; used
-    to give indirect-call sites the skewed target popularity the paper
-    reports (Table 4). *)
+type zipf
+(** A Zipf distribution over [\[0, n)]: its cumulative weights,
+    precomputed once, so a draw is one uniform float and a scan that
+    allocates nothing. *)
+
+val zipf_dist : n:int -> s:float -> zipf
+(** [zipf_dist ~n ~s] gives rank [k] the weight [1/(k+1)^s]; [n] must be
+    positive. *)
+
+val zipf : t -> zipf -> int
+(** [zipf t d] draws a rank of [d]; used to give indirect-call sites the
+    skewed target popularity the paper reports (Table 4). *)

@@ -594,6 +594,58 @@ let test_cache_shared_across_engine_kinds () =
   Alcotest.(check int) "one compile for all three engines" 1 (m1 - m0);
   Alcotest.(check int) "the other two creates were cache hits" 2 (h1 - h0)
 
+(* IR that [Validate] rejects never reaches either backend's unchecked
+   accesses: the static index check runs in the shared compile step, so
+   [create] raises on both backends, eagerly, and nothing is cached (two
+   creates, two misses).  Without it an out-of-range destination crashed
+   the interpreter, and an out-of-range read crashed the compiled
+   backend's entry zeroing. *)
+let invalid_program body =
+  Parser.parse_program
+    ("program {\n  globals 4\n  next_site 0\n}\n\nfunc @main(params=1, regs=2) {\nbb0:\n"
+   ^ body ^ "\n  ret r0\n}\n")
+
+let test_invalid_indices_rejected_at_create () =
+  List.iter
+    (fun body ->
+      let p = invalid_program body in
+      let h0, m0 = Engine.compile_cache_stats () in
+      List.iter
+        (fun backend ->
+          Alcotest.check_raises
+            (body ^ " on " ^ Engine.backend_to_string backend)
+            (Engine.Runtime_error "invalid static indices in @main")
+            (fun () -> ignore (Engine.create ~backend p)))
+        [ Engine.Interp; Engine.Compiled ];
+      let h1, m1 = Engine.compile_cache_stats () in
+      Alcotest.(check (pair int int)) (body ^ ": two misses, no hit") (0, 2) (h1 - h0, m1 - m0))
+    [ "  r900000 = move r1"; "  observe r900000" ]
+
+(* The simulated stack-depth fault: a self-recursive function whose
+   deepest activation needs frame [max_call_depth] raises on both
+   backends with the same cycles, counters and edges; one level less
+   returns on both. *)
+let recursion =
+  Parser.parse_program
+    "program {\n  globals 4\n  next_site 1\n}\n\n\
+     func @rec(params=1, regs=3) {\nbb0:\n  br r0, bb1, bb2\nbb1:\n\
+    \  r1 = sub r0, 1\n  r2 = call @rec(r1) !site 0\n  ret r2\nbb2:\n  ret 7\n}\n"
+
+let test_call_depth_fault () =
+  let mkconfig () = ({ Engine.default_config with Engine.fuel = max_int }, None) in
+  let run depth =
+    let calls = [ ("rec", [ depth ]) ] in
+    let a = run_with ~backend:Engine.Interp ~mkconfig recursion calls in
+    let b = run_with ~backend:Engine.Compiled ~mkconfig recursion calls in
+    Alcotest.(check bool) (Printf.sprintf "depth %d agrees" depth) true (a = b);
+    a.outcomes
+  in
+  let limit = Engine.max_call_depth in
+  Alcotest.(check bool) "one level less returns" true (run (limit - 1) = [ Ok (Some 7) ]);
+  Alcotest.(check bool) "the cap raises" true
+    (run limit
+    = [ Error (Printf.sprintf "runtime: call depth exceeds %d activations" limit) ])
+
 (* Link observability: the first call into a function links it inside an
    engine:link span, and while tracing the lowering reports
    fused-superblocks and segment-coverage counters (all "sched"
@@ -681,5 +733,8 @@ let suite =
     Alcotest.test_case "compile spans and cache counters traced" `Quick
       test_trace_compile_events;
     Alcotest.test_case "link spans and counters traced" `Quick test_trace_link_events;
+    Alcotest.test_case "invalid indices rejected at create" `Quick
+      test_invalid_indices_rejected_at_create;
+    Alcotest.test_case "call depth fault agrees" `Quick test_call_depth_fault;
     Alcotest.test_case "backend selection and names" `Quick test_backend_selection;
   ]

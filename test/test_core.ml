@@ -49,6 +49,17 @@ let test_env_caches_builds () =
   let l2 = Pibe.Env.latencies env Pibe.Config.lto in
   Alcotest.(check bool) "latency suite cached" true (l1 == l2)
 
+(* Parallel cells racing on one cold configuration (and on the cold
+   kernel and profile beneath it) all get the build that was recorded
+   first, physically. *)
+let test_env_parallel_builds_shared () =
+  let env = Pibe.Env.quick ~jobs:2 () in
+  match Pibe.Env.par_map env (Pibe.Env.build env) (List.init 4 (fun _ -> Pibe.Config.lto)) with
+  | first :: rest ->
+    Alcotest.(check bool) "one physical build" true (List.for_all (( == ) first) rest);
+    Alcotest.(check bool) "later lookups hit it" true (Pibe.Env.build env Pibe.Config.lto == first)
+  | [] -> Alcotest.fail "par_map dropped its items"
+
 let test_env_overheads_self_zero () =
   let env = Helpers.env () in
   let ovs = Pibe.Env.overheads env ~baseline:Pibe.Config.lto Pibe.Config.lto in
@@ -107,6 +118,7 @@ let suite =
     ("measurement deterministic", `Quick, test_measure_deterministic);
     ("throughput formula", `Quick, test_measure_throughput);
     ("environment caches builds", `Quick, test_env_caches_builds);
+    ("environment shares parallel builds", `Quick, test_env_parallel_builds_shared);
     ("overheads vs self are zero", `Quick, test_env_overheads_self_zero);
     ("report generates with verdicts", `Slow, test_report_generates);
     ("report reference data", `Quick, test_report_reference_data);

@@ -1,5 +1,6 @@
-(* Unit and property tests for pibe_util: Rng, Stats, Tbl. *)
+(* Unit and property tests for pibe_util: Rng, Memo, Stats, Tbl. *)
 
+module Memo = Pibe_util.Memo
 module Rng = Pibe_util.Rng
 module Stats = Pibe_util.Stats
 module Tbl = Pibe_util.Tbl
@@ -44,8 +45,9 @@ let test_rng_weighted () =
 let test_rng_zipf_skew () =
   let rng = Rng.create 13 in
   let counts = Array.make 8 0 in
+  let d = Rng.zipf_dist ~n:8 ~s:1.2 in
   for _ = 1 to 4000 do
-    let v = Rng.zipf rng ~n:8 ~s:1.2 in
+    let v = Rng.zipf rng d in
     counts.(v) <- counts.(v) + 1
   done;
   Alcotest.(check bool) "rank 0 dominates" true (counts.(0) > counts.(7) * 3);
@@ -65,6 +67,65 @@ let prop_geometric_nonneg =
     (fun (seed, p) ->
       let rng = Rng.create seed in
       Rng.geometric rng ~p >= 0)
+
+(* ------------------------------- Memo ------------------------------ *)
+
+(* The reference model: an MRU list of at most [cap] keys.  A lookup hits
+   when the key is listed and moves it to the front; a miss prepends it
+   and drops whatever falls past [cap]. *)
+let model_get cap model k =
+  if List.mem k model then (true, k :: List.filter (( <> ) k) model)
+  else (false, List.filteri (fun i _ -> i < cap) (k :: model))
+
+let prop_memo_matches_model =
+  QCheck.Test.make ~name:"memo matches an MRU reference model" ~count:300
+    QCheck.(pair (oneofl [ 1; 2; 8 ]) (list_of_size (QCheck.Gen.int_range 0 60) (int_bound 11)))
+    (fun (cap, ks) ->
+      let memo = Memo.create ~capacity:cap ~equal:Int.equal () in
+      let model = ref [] and hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun k ->
+          let computed = ref false in
+          let v = Memo.get memo k (fun () -> computed := true; k * 10) in
+          let hit, model' = model_get cap !model k in
+          model := model';
+          incr (if hit then hits else misses);
+          v = k * 10 && hit = not !computed && Memo.keys memo = !model
+          && Memo.stats memo = (!hits, !misses))
+        ks)
+
+(* Two domains miss on one cold key at once: each compute waits (up to
+   10 s of CPU time, so a memo that computed under its lock fails instead
+   of hanging) until the other has started, so both run.  The first to
+   finish is recorded and the other adopts it. *)
+let test_memo_race_adopts () =
+  let memo = Memo.create ~capacity:4 ~equal:String.equal () in
+  let started = Atomic.make 0 in
+  let compute () =
+    Atomic.incr started;
+    let deadline = Sys.time () +. 10.0 in
+    while Atomic.get started < 2 && Sys.time () < deadline do
+      Domain.cpu_relax ()
+    done;
+    ref 0
+  in
+  let other = Domain.spawn (fun () -> Memo.get memo "k" compute) in
+  let mine = Memo.get memo "k" compute in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "both computed" 2 (Atomic.get started);
+  Alcotest.(check bool) "physically one value" true (mine == theirs);
+  Alcotest.(check (list string)) "one entry kept" [ "k" ] (Memo.keys memo);
+  Alcotest.(check (pair int int)) "both counted as misses" (0, 2) (Memo.stats memo);
+  Alcotest.(check bool) "later lookups hit it" true (Memo.get memo "k" compute == mine)
+
+let test_memo_raising_compute () =
+  let memo = Memo.create ~capacity:2 ~equal:Int.equal () in
+  Alcotest.check_raises "the exception escapes" Exit (fun () ->
+      ignore (Memo.get memo 1 (fun () -> raise Exit)));
+  Alcotest.(check bool) "nothing recorded" false (Memo.mem memo 1);
+  Alcotest.(check int) "the lock is free" 7 (Memo.get memo 1 (fun () -> 7));
+  Alcotest.(check int) "the retry is recorded" 7 (Memo.get memo 1 (fun () -> 8));
+  Alcotest.(check (pair int int)) "two misses, one hit" (1, 2) (Memo.stats memo)
 
 (* ------------------------------ Stats ------------------------------ *)
 
@@ -182,6 +243,9 @@ let suite =
     ("rng zipf skew", `Quick, test_rng_zipf_skew);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     Helpers.qcheck_to_alcotest prop_geometric_nonneg;
+    Helpers.qcheck_to_alcotest prop_memo_matches_model;
+    ("memo race adopts the first entry", `Quick, test_memo_race_adopts);
+    ("memo raising compute records nothing", `Quick, test_memo_raising_compute);
     ("stats median odd", `Quick, test_median_odd);
     ("stats median even", `Quick, test_median_even);
     ("stats mean", `Quick, test_mean);

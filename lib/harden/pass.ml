@@ -103,8 +103,8 @@ let lower_jump_tables f =
    hold a jump table are rebuilt; every other record stays shared, and a
    program without jump tables comes back unchanged. *)
 let disable_jump_tables prog =
-  Program.fold_funcs prog ~init:prog ~f:(fun p f ->
-      if f.attrs.is_asm || Func.jump_table_count f = 0 then p
+  Program.fold_unordered prog ~init:prog ~f:(fun p f ->
+      if f.attrs.is_asm || (Summary.of_func f).Summary.jump_tables = 0 then p
       else Program.update_func p (lower_jump_tables f))
 
 let harden ?(rsb_refill = false) prog defenses =
@@ -114,36 +114,37 @@ let harden ?(rsb_refill = false) prog defenses =
   let bwd = Hashtbl.create 1024 in
   let hardened_icalls = ref 0 in
   let hardened_rets = ref 0 in
-  let prog = ref prog in
-  if any_defense defenses then prog := disable_jump_tables !prog;
-  Program.iter_funcs !prog (fun f ->
+  (* Nothing iterates [fwd] or [bwd], so the scan's order cannot reach
+     the image.  Jump-table lowering keeps every call site and return,
+     so the scan reads the summaries of the functions as they come in,
+     not of their lowered copies, which are new every build. *)
+  Program.iter_unordered prog (fun f ->
       if not f.attrs.is_asm then begin
+        let s = Summary.of_func f in
         (if fkind <> Protection.F_none then
            List.iter
              (fun (site : site) ->
                Hashtbl.replace fwd site.site_id fkind;
                incr hardened_icalls)
-             (Func.icall_sites f));
-        if bkind <> Protection.B_none && not f.attrs.boot_only then begin
-          let rets = Func.ret_count f in
-          if rets > 0 then begin
-            Hashtbl.replace bwd f.fname bkind;
-            hardened_rets := !hardened_rets + rets
-          end
+             s.Summary.icall_sites);
+        if bkind <> Protection.B_none && (not f.attrs.boot_only) && s.Summary.rets > 0 then begin
+          Hashtbl.replace bwd f.fname bkind;
+          hardened_rets := !hardened_rets + s.Summary.rets
         end
       end);
+  let prog = if any_defense defenses then disable_jump_tables prog else prog in
   let thunk_bytes = Thunks.shared_thunk_bytes fkind in
   (* The CFI kinds need the target-set oracle; run it on the hardened
      program so promoted/cloned sites resolve. *)
   let cfi =
     match fkind with
-    | Protection.F_fineibt | Protection.F_coarse_cfi -> Some (Cfi.analyze !prog)
+    | Protection.F_fineibt | Protection.F_coarse_cfi -> Some (Cfi.analyze prog)
     | Protection.F_none | Protection.F_retpoline | Protection.F_lvi
     | Protection.F_fenced_retpoline ->
       None
   in
   {
-    prog = !prog;
+    prog;
     defenses;
     rsb_refill;
     fwd;
@@ -161,12 +162,12 @@ let bwd_protection image fname =
   Option.value ~default:Protection.B_none (Hashtbl.find_opt image.bwd fname)
 
 let footprint image f =
-  let base = Layout.func_size f in
+  let s = Summary.of_func f in
   let fkind_bytes =
     List.fold_left
       (fun acc (site : site) ->
         acc + Thunks.per_icall_bytes (fwd_protection image site))
-      0 (Func.icall_sites f)
+      0 s.Summary.icall_sites
   in
   let bkind = bwd_protection image f.fname in
   let pad_bytes =
@@ -174,10 +175,10 @@ let footprint image f =
     | Some cfi -> Cfi.pad_bytes cfi ~protection:(forward_kind image.defenses) f.fname
     | None -> 0
   in
-  base + fkind_bytes + pad_bytes + (Func.ret_count f * Thunks.per_ret_bytes bkind)
+  s.Summary.code_bytes + fkind_bytes + pad_bytes + (s.Summary.rets * Thunks.per_ret_bytes bkind)
 
 let image_bytes image =
-  Program.fold_funcs image.prog ~init:image.thunk_bytes ~f:(fun acc f ->
+  Program.fold_unordered image.prog ~init:image.thunk_bytes ~f:(fun acc f ->
       acc + footprint image f)
 
 let engine_config ?(base = Pibe_cpu.Engine.default_config) image =

@@ -76,14 +76,17 @@ val harden : ?rsb_refill:bool -> Program.t -> defenses -> image
 (** [rsb_refill] (default false) additionally stuffs the RSB at every
     kernel entry — the cheap, partial Ret2spec mitigation deployed ad hoc
     in real kernels (paper §6.4); it is orthogonal to the per-branch
-    defenses. *)
+    defenses.  The per-site scan reads each function's memoized
+    {!Pibe_ir.Summary}, so it walks only the functions that no earlier
+    scan or snapshot has seen. *)
 
 val fwd_protection : image -> Types.site -> Protection.forward
 val bwd_protection : image -> string -> Protection.backward
 
 val footprint : image -> Types.func -> int
 (** Function code footprint including per-site hardening bytes, for the
-    engine's i-cache. *)
+    engine's i-cache.  Reads the function's memoized
+    {!Pibe_ir.Summary}. *)
 
 val image_bytes : image -> int
 (** Total text bytes: all function footprints plus shared thunks. *)

@@ -54,6 +54,8 @@ let iter_funcs t g = List.iter (fun name -> g (find t name)) (layout_order t)
 let fold_funcs t ~init ~f =
   List.fold_left (fun acc name -> f acc (find t name)) init (layout_order t)
 
+let iter_unordered t g = String_map.iter (fun _ f -> g f) t.funcs
+let fold_unordered t ~init ~f = String_map.fold (fun _ fn acc -> f acc fn) t.funcs init
 let func_count t = String_map.cardinal t.funcs
 
 let fptr_index t name =

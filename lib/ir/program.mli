@@ -46,9 +46,23 @@ val remove_func : t -> string -> t
     kernel evolution model does). *)
 
 val iter_funcs : t -> (func -> unit) -> unit
-(** In layout order. *)
+(** In layout order.  The layout order is a list of names, so each step
+    looks its function up in the map: one [String_map.find] per
+    function, which at 1,744 functions makes a walk cost 0.28–0.38 ms
+    on a 2-vCPU Xeon VM, against about 0.012 ms for {!iter_unordered}.
+    Where the order cannot reach the result, use that instead. *)
 
 val fold_funcs : t -> init:'a -> f:('a -> func -> 'a) -> 'a
+(** In layout order, with {!iter_funcs}'s lookup per function. *)
+
+val iter_unordered : t -> (func -> unit) -> unit
+(** Every function once, straight off the map, in an unspecified order.
+    Use it only where the order cannot reach the result: sums, tables
+    keyed by site or name that nothing iterates, and per-function
+    rewrites through {!update_func}. *)
+
+val fold_unordered : t -> init:'a -> f:('a -> func -> 'a) -> 'a
+(** {!fold_funcs} in {!iter_unordered}'s order, under the same rule. *)
 
 val func_count : t -> int
 

@@ -21,7 +21,8 @@ open Pibe_ir
 
 val run_func : Types.func -> Types.func
 val run : Program.t -> Program.t
-(** Cleans every function that is not [optnone]/[is_asm]. *)
+(** Cleans every function that is not [optnone]/[is_asm]
+    ({!run_with_stats} without the statistics). *)
 
 type stats = {
   folded : int;  (** operands/exprs replaced by constants or copies *)
@@ -50,4 +51,7 @@ val eliminate_dead : Types.func -> Types.func * int
 
 val run_with_stats : Program.t -> Program.t * stats
 (** [run] with the per-function statistics summed program-wide (fed to the
-    pass manager's per-pass reporting). *)
+    pass manager's per-pass reporting).  Each function's result is
+    memoized on its physical identity, process-wide, so a function an
+    earlier run already cleaned costs a lookup; outputs are the same as
+    cleaning afresh.  A function left unchanged keeps its record. *)

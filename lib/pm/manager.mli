@@ -16,7 +16,8 @@
     materialization — with [ir-delta] counters (IR deltas plus remaining
     indirect/return/jump-table sites), per-pass [pass-detail] counters
     (sites promoted / inlined / folded), and a final [hardened] counter
-    (sites protected, image bytes).  All values are deterministic; with
+    (sites protected, image bytes), emitted after [pm:harden] closes so
+    that span times the hardening alone.  All values are deterministic; with
     collection off the instrumentation is a no-op.
 
     Builds that share an optimization prefix share its work: see {!run}
@@ -35,7 +36,8 @@ type snapshot = {
 }
 
 val snapshot : Program.t -> snapshot
-(** One traversal of the program; [code_bytes] equals
+(** Sums every function's {!Pibe_ir.Summary}, so a function is walked
+    only the first time any summary reader meets it; [code_bytes] equals
     [Layout.total_code_bytes (Layout.build p)] without building the
     layout. *)
 

@@ -603,6 +603,113 @@ let test_prefix_reuse_bypassed_by_check () =
   run ();
   Alcotest.(check int) "hook ran after every pass of both runs" (2 * List.length spec) !calls
 
+(* ------------------------------------------------------------------ *)
+(* Per-function memos: warm equals cold                                *)
+(* ------------------------------------------------------------------ *)
+
+(* What the per-function memos feed, in comparable form: cleanup's
+   program and stats, the snapshots before and after it, and per defense
+   set the hardened image's functions, protection tables (as sorted
+   bindings: table layout follows insertion order, which the scan leaves
+   unspecified), counts and bytes. *)
+let memo_outputs prog =
+  let funcs p = List.map (Program.find p) (Program.layout_order p) in
+  let bindings tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let cleaned, stats = Pibe_opt.Cleanup.run_with_stats prog in
+  let image d =
+    let i = Pass.harden cleaned d in
+    ( funcs i.Pass.prog,
+      (bindings i.Pass.fwd, bindings i.Pass.bwd),
+      (i.Pass.hardened_icall_sites, i.Pass.hardened_ret_sites, Pass.image_bytes i) )
+  in
+  ( (funcs cleaned, stats),
+    (Manager.snapshot prog, Manager.snapshot cleaned),
+    List.map image defense_sets )
+
+(* A physically distinct copy: every memo lookup on it misses. *)
+let reparse prog = Pibe_ir.Parser.parse_program (Pibe_ir.Printer.program_to_string prog)
+
+(* Cleanup and the snapshot as layout-order walks that read no memo, so
+   a memo keyed too coarsely, which warm and cold runs would share,
+   still shows. *)
+let reference_outputs prog =
+  let module C = Pibe_opt.Cleanup in
+  let zero = { C.folded = 0; branches_folded = 0; blocks_removed = 0; dead_assigns_removed = 0 } in
+  let cleaned, stats =
+    Program.fold_funcs prog ~init:(prog, zero) ~f:(fun (acc, (t : C.stats)) (f : Pibe_ir.Types.func) ->
+        if f.attrs.optnone || f.attrs.is_asm then (acc, t)
+        else
+          let f', s = C.run_func_with_stats f in
+          ( Program.update_func acc f',
+            {
+              C.folded = t.folded + s.folded;
+              branches_folded = t.branches_folded + s.branches_folded;
+              blocks_removed = t.blocks_removed + s.blocks_removed;
+              dead_assigns_removed = t.dead_assigns_removed + s.dead_assigns_removed;
+            } ))
+  in
+  let snapshot p =
+    let module F = Pibe_ir.Func in
+    Program.fold_funcs p
+      ~init:
+        {
+          Manager.funcs = Program.func_count p;
+          blocks = 0;
+          insts = 0;
+          code_bytes = 0;
+          icalls = 0;
+          rets = 0;
+          jump_tables = 0;
+        }
+      ~f:(fun (s : Manager.snapshot) f ->
+        {
+          s with
+          blocks = s.blocks + Array.length f.Pibe_ir.Types.blocks;
+          insts = s.insts + F.inst_count f;
+          code_bytes = s.code_bytes + Pibe_ir.Layout.func_size f;
+          icalls = s.icalls + List.length (F.icall_sites f);
+          rets = s.rets + F.ret_count f;
+          jump_tables = s.jump_tables + F.jump_table_count f;
+        })
+  in
+  let funcs p = List.map (Program.find p) (Program.layout_order p) in
+  ((funcs cleaned, stats), (snapshot prog, snapshot cleaned))
+
+(* Run twice, the second time off the memos, and once on a fresh parse;
+   all three must also agree with the memo-free walks. *)
+let warm_equals_cold prog =
+  let first = memo_outputs prog in
+  let warm = memo_outputs prog in
+  let cleanup, snapshots, _ = warm in
+  warm = first
+  && warm = memo_outputs (reparse prog)
+  && (cleanup, snapshots) = reference_outputs prog
+
+let prop_memo_warm_equals_cold =
+  QCheck.Test.make ~name:"per-function memos: warm equals cold" ~count:100 QCheck.small_nat
+    (fun seed -> warm_equals_cold (Helpers.random_program seed))
+
+let test_memo_warm_equals_cold_kernel () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  Alcotest.(check bool) "pristine quick kernel" true (warm_equals_cold prog);
+  Alcotest.(check bool) "lax-inlined quick kernel" true
+    (warm_equals_cold (Helpers.optimized env "icp(budget=99.999),inline(budget=99.9999,lax)"))
+
+(* The build matrix on two domains, which race on the memos for every
+   function the builds share, against cold builds of a fresh parse. *)
+let test_memo_pool_builds () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let prog_copy = reparse prog in
+  let fresh = Profile.copy profile in
+  let pool = Pibe_util.Pool.create ~jobs:2 () in
+  let builds = Pibe_util.Pool.map pool (Pibe.Pipeline.build prog fresh) matrix_order in
+  List.iter2
+    (fun c b -> check_same_build ("two domains " ^ label c) (cold_build prog_copy profile c) b)
+    matrix_order builds
+
 (* The paper's best configuration with every defense, on the quick
    kernel (seed 42, scale 1).  Its lax inlining grows callers to hundreds
    of blocks and its rules 2 and 3 block weight, so a drifting
@@ -706,5 +813,8 @@ let suite =
     ("prefix reuse is mutation-safe", `Quick, test_prefix_reuse_mutation_safety);
     ("prefix reuse bypassed by a check hook", `Quick, test_prefix_reuse_bypassed_by_check);
     ("a failing pool cell leaves state usable", `Quick, test_pool_failure_leaves_state_usable);
+    Helpers.qcheck_to_alcotest prop_memo_warm_equals_cold;
+    ("memos: warm equals cold on the kernel", `Quick, test_memo_warm_equals_cold_kernel);
+    ("memos: two-domain builds equal cold", `Slow, test_memo_pool_builds);
     ("best config, all defenses: pinned build", `Quick, test_best_all_defenses_pinned);
   ]

@@ -77,55 +77,90 @@ let model_get cap model k =
   if List.mem k model then (true, k :: List.filter (( <> ) k) model)
   else (false, List.filteri (fun i _ -> i < cap) (k :: model))
 
+(* Drives a fresh memo through [ks] and checks every lookup against the
+   model: the value, hit or miss, the key order and the counts. *)
+let matches_model ?hash (cap, ks) =
+  let memo = Memo.create ~capacity:cap ?hash ~equal:Int.equal () in
+  let model = ref [] and hits = ref 0 and misses = ref 0 in
+  List.for_all
+    (fun k ->
+      let computed = ref false in
+      let v = Memo.get memo k (fun () -> computed := true; k * 10) in
+      let hit, model' = model_get cap !model k in
+      model := model';
+      incr (if hit then hits else misses);
+      v = k * 10 && hit = not !computed && Memo.keys memo = !model
+      && Memo.stats memo = (!hits, !misses)
+      && List.for_all (fun k -> Memo.mem memo k = List.mem k !model) [ 0; k; 11 ])
+    ks
+
+let small_lookups =
+  QCheck.(pair (oneofl [ 1; 2; 8 ]) (list_of_size (QCheck.Gen.int_range 0 60) (int_bound 11)))
+
+(* The unhashed and the hashed leg see the same lookups. *)
 let prop_memo_matches_model =
-  QCheck.Test.make ~name:"memo matches an MRU reference model" ~count:300
-    QCheck.(pair (oneofl [ 1; 2; 8 ]) (list_of_size (QCheck.Gen.int_range 0 60) (int_bound 11)))
-    (fun (cap, ks) ->
-      let memo = Memo.create ~capacity:cap ~equal:Int.equal () in
-      let model = ref [] and hits = ref 0 and misses = ref 0 in
-      List.for_all
-        (fun k ->
-          let computed = ref false in
-          let v = Memo.get memo k (fun () -> computed := true; k * 10) in
-          let hit, model' = model_get cap !model k in
-          model := model';
-          incr (if hit then hits else misses);
-          v = k * 10 && hit = not !computed && Memo.keys memo = !model
-          && Memo.stats memo = (!hits, !misses))
-        ks)
+  QCheck.Test.make ~name:"memo matches an MRU reference model" ~count:300 small_lookups
+    (fun lookups -> matches_model lookups && matches_model ~hash:Hashtbl.hash lookups)
+
+(* Enough keys that the hashed index doubles several times, evicting
+   or not. *)
+let prop_memo_hashed_grows =
+  QCheck.Test.make ~name:"hashed memo matches the model as its index grows" ~count:100
+    QCheck.(
+      pair
+        (oneofl [ 3; 40; 100; max_int ])
+        (list_of_size (QCheck.Gen.int_range 0 400) (int_bound 150)))
+    (matches_model ~hash:Hashtbl.hash)
+
+(* Every key in one bucket: promotion and eviction within a shared chain
+   follow the same model. *)
+let prop_memo_shared_bucket =
+  QCheck.Test.make ~name:"hashed memo with one shared bucket matches the model" ~count:300
+    small_lookups
+    (matches_model ~hash:(fun _ -> 7))
 
 (* Two domains miss on one cold key at once: each compute waits (up to
    10 s of CPU time, so a memo that computed under its lock fails instead
    of hanging) until the other has started, so both run.  The first to
-   finish is recorded and the other adopts it. *)
+   finish is recorded and the other adopts it.  Once unhashed, once
+   hashed. *)
 let test_memo_race_adopts () =
-  let memo = Memo.create ~capacity:4 ~equal:String.equal () in
-  let started = Atomic.make 0 in
-  let compute () =
-    Atomic.incr started;
-    let deadline = Sys.time () +. 10.0 in
-    while Atomic.get started < 2 && Sys.time () < deadline do
-      Domain.cpu_relax ()
-    done;
-    ref 0
-  in
-  let other = Domain.spawn (fun () -> Memo.get memo "k" compute) in
-  let mine = Memo.get memo "k" compute in
-  let theirs = Domain.join other in
-  Alcotest.(check int) "both computed" 2 (Atomic.get started);
-  Alcotest.(check bool) "physically one value" true (mine == theirs);
-  Alcotest.(check (list string)) "one entry kept" [ "k" ] (Memo.keys memo);
-  Alcotest.(check (pair int int)) "both counted as misses" (0, 2) (Memo.stats memo);
-  Alcotest.(check bool) "later lookups hit it" true (Memo.get memo "k" compute == mine)
+  List.iter
+    (fun (leg, hash) ->
+      let memo = Memo.create ~capacity:4 ?hash ~equal:String.equal () in
+      let started = Atomic.make 0 in
+      let compute () =
+        Atomic.incr started;
+        let deadline = Sys.time () +. 10.0 in
+        while Atomic.get started < 2 && Sys.time () < deadline do
+          Domain.cpu_relax ()
+        done;
+        ref 0
+      in
+      let other = Domain.spawn (fun () -> Memo.get memo "k" compute) in
+      let mine = Memo.get memo "k" compute in
+      let theirs = Domain.join other in
+      Alcotest.(check int) (leg ^ ": both computed") 2 (Atomic.get started);
+      Alcotest.(check bool) (leg ^ ": physically one value") true (mine == theirs);
+      Alcotest.(check (list string)) (leg ^ ": one entry kept") [ "k" ] (Memo.keys memo);
+      Alcotest.(check (pair int int)) (leg ^ ": both counted as misses") (0, 2) (Memo.stats memo);
+      Alcotest.(check bool)
+        (leg ^ ": later lookups hit it")
+        true
+        (Memo.get memo "k" compute == mine))
+    [ ("unhashed", None); ("hashed", Some Hashtbl.hash) ]
 
 let test_memo_raising_compute () =
-  let memo = Memo.create ~capacity:2 ~equal:Int.equal () in
-  Alcotest.check_raises "the exception escapes" Exit (fun () ->
-      ignore (Memo.get memo 1 (fun () -> raise Exit)));
-  Alcotest.(check bool) "nothing recorded" false (Memo.mem memo 1);
-  Alcotest.(check int) "the lock is free" 7 (Memo.get memo 1 (fun () -> 7));
-  Alcotest.(check int) "the retry is recorded" 7 (Memo.get memo 1 (fun () -> 8));
-  Alcotest.(check (pair int int)) "two misses, one hit" (1, 2) (Memo.stats memo)
+  List.iter
+    (fun (leg, hash) ->
+      let memo = Memo.create ~capacity:2 ?hash ~equal:Int.equal () in
+      Alcotest.check_raises (leg ^ ": the exception escapes") Exit (fun () ->
+          ignore (Memo.get memo 1 (fun () -> raise Exit)));
+      Alcotest.(check bool) (leg ^ ": nothing recorded") false (Memo.mem memo 1);
+      Alcotest.(check int) (leg ^ ": the lock is free") 7 (Memo.get memo 1 (fun () -> 7));
+      Alcotest.(check int) (leg ^ ": the retry is recorded") 7 (Memo.get memo 1 (fun () -> 8));
+      Alcotest.(check (pair int int)) (leg ^ ": two misses, one hit") (1, 2) (Memo.stats memo))
+    [ ("unhashed", None); ("hashed", Some Hashtbl.hash) ]
 
 (* ------------------------------ Stats ------------------------------ *)
 
@@ -244,6 +279,8 @@ let suite =
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     Helpers.qcheck_to_alcotest prop_geometric_nonneg;
     Helpers.qcheck_to_alcotest prop_memo_matches_model;
+    Helpers.qcheck_to_alcotest prop_memo_hashed_grows;
+    Helpers.qcheck_to_alcotest prop_memo_shared_bucket;
     ("memo race adopts the first entry", `Quick, test_memo_race_adopts);
     ("memo raising compute records nothing", `Quick, test_memo_raising_compute);
     ("stats median odd", `Quick, test_median_odd);

@@ -26,8 +26,9 @@ test:
 # value, the on-disk profile round trip (profile, then optimize from the
 # written file), the two call-edge hook consumers outside the collector
 # (trace, perf), a malformed profile that optimize must reject with exit
-# status 1 and a FILE:LINE message, and a one-window continuous-profiling
-# smoke on the tiny kernel.
+# status 1 and a FILE:LINE message, the attack drills under a combined
+# defense set named the way the tools print it, and a one-window
+# continuous-profiling smoke on the tiny kernel.
 check:
 	dune build
 	dune runtest
@@ -54,6 +55,7 @@ check:
 	  --profile $(SCRATCH)/bad_profile.txt --out $(SCRATCH)/bad_image.ir \
 	  2> $(SCRATCH)/bad_profile.err || status=$$?; test $$status -eq 1
 	grep -qx '$(SCRATCH)/bad_profile.txt:2: negative count -5' $(SCRATCH)/bad_profile.err
+	dune exec bin/pibe_cli.exe -- attack --scale 1 --defenses lvi-cfi+fineibt
 	dune exec bin/pibe_cli.exe -- online --scale 1 --windows 1 --requests 30
 
 # Documentation: lint that every public module in lib/ carries a

@@ -20,7 +20,7 @@
 
    Subcommands that execute simulated code accept --engine
    compiled|interp to pick the execution backend (bit-exact; compiled is
-   the default and faster). *)
+   the default and faster; attack drills always run on interp). *)
 
 open Cmdliner
 
@@ -34,8 +34,10 @@ let seed_arg =
 
 let defenses_arg =
   let doc =
-    "Defense set: none, retpolines, ret-retpolines, lvi, fineibt, pac-ret, coarse-cfi, \
-     fineibt+pac-ret, or all (may be abbreviated)."
+    "Defense set: none, or a '+'-joined list of retpolines (retp), ret-retpolines \
+     (retret), lvi-cfi (lvi), fineibt, pac-ret (pac), coarse-cfi (coarse) and \
+     all-defenses (all, the first three together), e.g. 'lvi-cfi+fineibt'.  Every \
+     set name the tools print is accepted."
   in
   Arg.(value & opt string "all" & info [ "defenses" ] ~docv:"SET" ~doc)
 
@@ -59,8 +61,9 @@ let engine_arg =
   let doc =
     "Execution backend: 'compiled' (closure-threaded; the default) or \
      'interp' (the reference tree-walking interpreter).  The two are \
-     bit-exact — identical cycles, counters, traces and attack outcomes \
-     — so this only changes wall-clock speed."
+     bit-exact — identical cycles, counters and traces — so this only \
+     changes wall-clock speed.  Attack drills always run on the \
+     interpreter, whichever backend is chosen."
   in
   Arg.(value & opt string "compiled" & info [ "engine" ] ~docv:"BACKEND" ~doc)
 
@@ -104,23 +107,6 @@ let with_trace trace_path k =
     Printf.eprintf "trace: wrote %d events to %s (%s)\n" (List.length events) path
       (Pibe_trace.Trace.format_to_string fmt);
     code
-
-let parse_defenses = function
-  | "none" -> Ok Pibe_harden.Pass.no_defenses
-  | "retpolines" | "retp" ->
-    Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.retpolines = true }
-  | "ret-retpolines" | "retret" ->
-    Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.ret_retpolines = true }
-  | "lvi" -> Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.lvi = true }
-  | "all" -> Ok Pibe_harden.Pass.all_defenses
-  | "fineibt" -> Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.fineibt = true }
-  | "pac" | "pac-ret" ->
-    Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.pac = true }
-  | "coarse-cfi" | "coarse" ->
-    Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.coarse_cfi = true }
-  | "fineibt+pac" | "fineibt+pac-ret" ->
-    Ok { Pibe_harden.Pass.no_defenses with Pibe_harden.Pass.fineibt = true; pac = true }
-  | other -> Error (Printf.sprintf "unknown defense set %S" other)
 
 let gen ~seed ~scale = Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed; scale }
 
@@ -187,7 +173,7 @@ let pipeline seed scale defenses budget passes verify engine trace =
   match passes with
   | Some text -> pipeline_spec ~seed ~scale ~verify text
   | None -> (
-  match parse_defenses defenses with
+  match Pibe_harden.Pass.defenses_of_string defenses with
   | Error e ->
     prerr_endline e;
     1
@@ -246,7 +232,7 @@ let experiment name seed scale quick jobs engine trace =
 
 let attack seed scale defenses engine =
   with_engine engine @@ fun () ->
-  match parse_defenses defenses with
+  match Pibe_harden.Pass.defenses_of_string defenses with
   | Error e ->
     prerr_endline e;
     1
@@ -310,7 +296,7 @@ let profile_cmd_impl seed scale iters out =
   0
 
 let optimize_cmd_impl seed scale defenses budget profile_path out =
-  match parse_defenses defenses with
+  match Pibe_harden.Pass.defenses_of_string defenses with
   | Error e ->
     prerr_endline e;
     1
@@ -344,7 +330,7 @@ let optimize_cmd_impl seed scale defenses budget profile_path out =
 
 let perf seed scale defenses budget op_name topn engine =
   with_engine engine @@ fun () ->
-  match parse_defenses defenses with
+  match Pibe_harden.Pass.defenses_of_string defenses with
   | Error e ->
     prerr_endline e;
     1

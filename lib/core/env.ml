@@ -76,7 +76,7 @@ let par_map t f xs =
   Pibe_trace.Trace.span ~cat:"sched" "env:par_map" ~args (fun () -> Pool.map t.pool f xs)
 
 let info t =
-  Memo.get t.kernel () (fun () ->
+  Memo.get t.kernel () (fun _ ->
       Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = t.seed; scale = t.scale })
 
 let ops t = Pibe_kernel.Workload.lmbench (info t)
@@ -84,7 +84,7 @@ let settings t = t.msettings
 let profile_iters t = t.profile_iters
 
 let lmbench_profile t =
-  Memo.get t.lmb_profile () (fun () ->
+  Memo.get t.lmb_profile () (fun _ ->
       let i = info t in
       Pipeline.profile i.Pibe_kernel.Gen.prog ~run:(fun engine ->
           let rng = Rng.create 11 in
@@ -96,7 +96,7 @@ let lmbench_profile t =
             (ops t)))
 
 let apache_profile t =
-  Memo.get t.ap_profile () (fun () ->
+  Memo.get t.ap_profile () (fun _ ->
       let i = info t in
       let mix = Pibe_kernel.Workload.apache i in
       Pipeline.profile i.Pibe_kernel.Gen.prog ~run:(fun engine ->
@@ -106,7 +106,7 @@ let apache_profile t =
           done))
 
 let build t config =
-  Memo.get t.builds config (fun () ->
+  Memo.get t.builds config (fun _ ->
       let i = info t in
       let profile = lmbench_profile t in
       Pipeline.build ~verify:t.verify i.Pibe_kernel.Gen.prog profile config)
@@ -116,7 +116,7 @@ let build_with_profile t ~profile config =
   Pipeline.build ~verify:t.verify i.Pibe_kernel.Gen.prog profile config
 
 let latencies t config =
-  Memo.get t.lat_cache config (fun () ->
+  Memo.get t.lat_cache config (fun _ ->
       let engine = Pipeline.engine (build t config) in
       Measure.suite_latencies ~settings:t.msettings engine (ops t))
 

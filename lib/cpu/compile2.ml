@@ -39,28 +39,26 @@
     {2 Lazy linking}
 
     Lowering is lazy at two levels.  A function's body is linked on the
-    first call that reaches it: its [fexec_plain]/[fexec_spec] field
-    starts as a trampoline that lowers under [link_lock] (double-checked)
-    and publishes the linked entry in its own place, so the post-link
-    call path has no dispatcher at all.  Inside a linked function every
-    label is again a trampoline that lowers the trace headed there on its
-    first dispatch, so only the heads a workload actually reaches ever
-    pay for closure construction and for their copy of a duplicated
-    tail.  Lowering is pure and emits nothing observable (its trace
+    first call that reaches it: its [fexec] field starts as a trampoline
+    that lowers under [link_lock] (double-checked) and publishes the
+    linked entry in its own place, so the post-link call path has no
+    dispatcher at all.  Inside a linked function every label is again a
+    trampoline that lowers the trace headed there on its first dispatch,
+    so only the heads a workload actually reaches ever pay for closure
+    construction and for their copy of a duplicated tail.  Lowering is pure and emits nothing observable (its trace
     events are "sched"-category), so which engine triggers it, and when,
     is invisible in cycles, counters, traces or errors.
 
-    Each function is lowered in two variants — a plain variant for the
-    common speculation-off configuration and a spec variant threading the
-    taint file — and call closures jump straight to the matching variant
-    of their callee, so the choice is made once per top-level entry, not
-    per instruction.
+    Each function is lowered once, in one variant with no taint anywhere
+    on its path: an engine whose config carries a speculation drill
+    state runs {!Interp} instead (see [Engine.create]), so the drills'
+    verdicts come straight off the reference semantics.
 
     Everything whose semantics is shared with the reference interpreter
     (indirect-branch transfer, return path, frame pools, step/fuel
     accounting) is called through {!Machine}, which is what makes the
-    backend cycle-, counter- and speculation-exact against {!Interp}
-    (pinned by [test/test_measure.ml] and [test/test_backend.ml]).
+    backend cycle- and counter-exact against {!Interp} (pinned by
+    [test/test_measure.ml] and [test/test_backend.ml]).
 
     Closures capture only per-program data — never an engine — so one
     compiled program is shared by every engine created on it, across
@@ -72,21 +70,20 @@ open Machine
 module Trace = Pibe_trace.Trace
 
 (* The whole execution state of the running activation — register frame,
-   spec-variant taint frame, depth, return-prediction target — is
-   threaded through mutable fields of [Machine.t] ([cur_regs],
-   [cur_taint], [cur_depth], [cur_ret_to]) rather than closure
-   arguments.  That makes every hot closure type below arity-1, which
-   ocamlopt applies as ONE indirect call at the call site; at arity >= 2
-   every dispatch would detour through the program-wide [caml_applyN]
-   trampolines — an extra call frame, an arity check, and a single
+   depth, return-prediction target — is threaded through mutable fields
+   of [Machine.t] ([cur_regs], [cur_depth], [cur_ret_to]) rather than
+   closure arguments.  That makes every hot closure type below arity-1,
+   which ocamlopt applies as ONE indirect call at the call site; at
+   arity >= 2 every dispatch would detour through the program-wide
+   [caml_applyN] trampolines — an extra call frame, an arity check, and a single
    shared indirect-jump site that aliases every dispatch in the program
-   in the host's branch-target predictor.  Call chunks save the four
+   in the host's branch-target predictor.  Call chunks save the three
    fields in locals, install the callee's activation, and restore after
    the callee returns; frames come from per-depth pools, so the pointer
    publications usually re-store an unchanged value (see
    [publish_regs]). *)
 
-(* entry of one function variant; expects the activation installed *)
+(* entry of one function; expects the activation installed *)
 type fexec = Machine.t -> int option
 
 (* one lowered block/superblock; terminators chain through these *)
@@ -96,11 +93,10 @@ type bexec = Machine.t -> int option
 type iexec = Machine.t -> unit
 
 (* Fused-segment instruction bodies: accounting is handled by the
-   segment header, and the running frame (and spec-variant taint frame)
-   is read from [t.cur_regs]/[t.cur_taint], which every invoking chunk
-   publishes before its item run.  That makes bodies arity-1 closures
-   over [t] alone — the one unknown-closure arity ocamlopt applies as a
-   direct indirect call at the call site.  At arity >= 2 every body
+   segment header, and the running frame is read from [t.cur_regs],
+   which every invoking chunk publishes before its item run.  That makes
+   bodies arity-1 closures over [t] alone — the one unknown-closure
+   arity ocamlopt applies as a direct indirect call at the call site.  At arity >= 2 every body
    dispatch would go through the program-wide [caml_apply2] trampoline:
    an extra call frame, an arity check, and — worse — a single shared
    indirect-jump site that aliases every body in the program in the
@@ -108,22 +104,17 @@ type iexec = Machine.t -> unit
    spreads those jumps back out to one predictable site per segment
    position. *)
 type pbody = Machine.t -> unit
-type tbody = Machine.t -> unit
 
 type cfunc2 = {
   c2 : cfunc;
   zeroset : int array;
       (* registers some path from entry may read before writing, sorted;
-         the only slots of a pooled frame whose initial 0 / [None] is
-         observable — see [zeroset_of] *)
-  mutable fexec_plain : fexec;
+         the only slots of a pooled frame whose initial 0 is observable —
+         see [zeroset_of] *)
+  mutable fexec : fexec;
       (* what call closures invoke: a lazy-linking trampoline until the
          first call, then the linked trace-lowered body *)
-  mutable fexec_spec : fexec;
-  mutable plain_linked : bool;
-  mutable spec_linked : bool;
-      (* written only under [prog.link_lock], like the published
-         [fexec_*] fields *)
+  mutable linked : bool;  (* written only under [prog.link_lock], like [fexec] *)
 }
 
 type prog = {
@@ -138,14 +129,13 @@ let unlinked : fexec = fun _ -> assert false
 
 (* Register frames come from a per-depth pool, so a fresh activation
    sees whatever its predecessor left.  The interpreter zeroes the whole
-   file ([frame]) and [None]s the whole taint file; but the only slots
-   whose initial value is observable are those some path from the entry
-   block may READ before writing — everything else is dead on entry and
-   its stale contents can never flow into cycles, memory, traces or
-   taint.  [zeroset_of] computes that set once per function at compile
-   time (a standard backward may-liveness fixpoint over the compiled
-   blocks, bit-packed 32 registers per word), and the call paths zero
-   exactly it.  The big straight-line kernel functions have register
+   file ([frame]); but the only slots whose initial value is observable
+   are those some path from the entry block may READ before writing —
+   everything else is dead on entry and its stale contents can never
+   flow into cycles, memory or traces.  [zeroset_of] computes that set
+   once per function at compile time (a standard backward may-liveness
+   fixpoint over the compiled blocks, bit-packed 32 registers per word),
+   and the call paths zero exactly it.  The big straight-line kernel functions have register
    files two orders of magnitude larger than their entry-live set, which
    makes this the difference between ~800 stores and ~4 per activation
    of the hottest callees. *)
@@ -262,7 +252,7 @@ let[@inline] zero_tail (zs : int array) n (fr : int array) =
    static register index and block label was checked once per program
    by [Machine.compile] ([func_valid]; Builder and Validate enforce the
    same bounds, and a program that fails never reaches lowering), and
-   every pooled frame/taint file has length >= the program-wide
+   every pooled frame has length >= the program-wide
    [max_regs] >= the function's [nregs].  Global-memory accesses keep
    their explicit bounds check against the baked [mem_len] (the fault
    path is observable semantics) and go unchecked only after it. *)
@@ -291,7 +281,7 @@ type sitem =
       (* a fused unconditional fallthrough seam: one fuel step plus
          [Cost.jmp], batched mid-segment *)
 
-(* Lowering statistics of one function variant, gathered only while
+(* Lowering statistics of one function, gathered only while
    tracing and reported as "sched" trace counters (see [lower_traced]). *)
 type fuse_stats = {
   mutable sb_count : int;  (* >=2-block chains lowered as one superblock *)
@@ -457,55 +447,6 @@ let passign ~mem_len fname ~dc ~dns ~dni r e : pbody =
       end
       else Array.unsafe_set regs r (Array.unsafe_get t.mem addr)
 
-(* Spec-variant assign: the taint write happens before the value write —
-   and, as in the interpreter, before a faulting load raises. *)
-let tassign ~mem_len fname ~dc ~dns ~dni r e : tbody =
-  match e with
-  | Const i | Move (Imm i) ->
-    fun t ->
-      Array.unsafe_set t.cur_taint r None;
-      Array.unsafe_set t.cur_regs r i
-  | Move (Reg s) ->
-    fun t ->
-      let taint = t.cur_taint in
-      Array.unsafe_set taint r (Array.unsafe_get taint s);
-      let regs = t.cur_regs in
-      Array.unsafe_set regs r (Array.unsafe_get regs s)
-  | Binop (op, a, b) ->
-    let body = pbinop r op a b in
-    fun t ->
-      Array.unsafe_set t.cur_taint r None;
-      body t
-  | Load (Imm i) ->
-    if i >= 0 && i < mem_len then
-      fun t ->
-        (Array.unsafe_set t.cur_taint r
-           (match t.cfg.speculation with
-           | None -> None
-           | Some s -> Speculation.injected_load s ~addr:i));
-        Array.unsafe_set t.cur_regs r (Array.unsafe_get t.mem i)
-    else
-      fun t ->
-        (Array.unsafe_set t.cur_taint r
-           (match t.cfg.speculation with
-           | None -> None
-           | Some s -> Speculation.injected_load s ~addr:i));
-        seg_unwind t ~dc ~dns ~dni;
-        raise (oob_load fname i)
-  | Load (Reg ar) ->
-    fun t ->
-      let regs = t.cur_regs in
-      let addr = Array.unsafe_get regs ar in
-      (Array.unsafe_set t.cur_taint r
-         (match t.cfg.speculation with
-         | None -> None
-         | Some s -> Speculation.injected_load s ~addr));
-      if addr < 0 || addr >= mem_len then begin
-        seg_unwind t ~dc ~dns ~dni;
-        raise (oob_load fname addr)
-      end
-      else Array.unsafe_set regs r (Array.unsafe_get t.mem addr)
-
 let pstore ~mem_len fname ~dc ~dns ~dni a v : pbody =
   match (a, v) with
   | Imm i, Imm vv ->
@@ -554,20 +495,11 @@ let pbody_of ~mem_len fname ~dc ~dns ~dni (i : Machine.cinst) : pbody =
   | CObserve v -> pobserve v
   | CCall _ | CIcall _ | CAsm_icall _ -> assert false
 
-let tbody_of ~mem_len fname ~dc ~dns ~dni (i : Machine.cinst) : tbody =
-  match i with
-  | CAssign (r, e) -> tassign ~mem_len fname ~dc ~dns ~dni r e
-  | CStore (a, v) -> pstore ~mem_len fname ~dc ~dns ~dni a v
-  | CObserve v -> pobserve v
-  | CCall _ | CIcall _ | CAsm_icall _ -> assert false
-
 (* Publication of the running frame for the arity-1 bodies above.  The
    pointer compare skips the [caml_modify] write barrier in the common
    case — consecutive segments of one activation, or a pooled frame
    reused at the same depth, already have the right array published. *)
 let[@inline] publish_regs t regs = if t.cur_regs != regs then t.cur_regs <- regs
-
-let[@inline] publish_taint t taint = if t.cur_taint != taint then t.cur_taint <- taint
 
 (* Compile a maximal run of items into one fused closure.  The fuel
    guard [steps + k > fuel] holds exactly when per-item bumping would
@@ -577,7 +509,7 @@ let[@inline] publish_taint t taint = if t.cur_taint != taint then t.cur_taint <-
    exact, only slower, so the guard can be conservative.  On the fast
    path, [SJump] seams have no body at all: their step and cost are
    folded into the batch header, so a fused fallthrough is free. *)
-let compile_segment ~spec ~mem_len ?stats fname (items : sitem array) : iexec =
+let compile_segment ~mem_len ?stats fname (items : sitem array) : iexec =
   let k = Array.length items in
   let costs, total, ni, dcs, dnss, dnis = seg_suffixes items in
   (match stats with
@@ -591,208 +523,105 @@ let compile_segment ~spec ~mem_len ?stats fname (items : sitem array) : iexec =
      segments bind their bodies as direct captures (no array indexing at
      all), and the generic loops index with the unsafe primitives (the
      bounds are fixed at lowering time). *)
-  if spec then begin
-    match items with
-    | [| SInst i |] ->
-      let body = tbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i and c = costs.(0) in
+  match items with
+  | [| SInst i |] ->
+    let body = pbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i and c = costs.(0) in
+    fun t ->
+      bump_inst t;
+      charge t c;
+      body t
+  | [| SJump |] ->
+    fun t ->
+      step_fuel t;
+      charge t Cost.jmp
+  | _ ->
+    let slow =
+      Array.mapi
+        (fun j it ->
+          match it with
+          | SInst i ->
+            let body = pbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i
+            and c = costs.(j) in
+            fun t ->
+              bump_inst t;
+              charge t c;
+              body t
+          | SJump ->
+            fun t ->
+              step_fuel t;
+              charge t Cost.jmp)
+        items
+    in
+    let run_slow t =
+      for j = 0 to k - 1 do
+        (Array.unsafe_get slow j) t
+      done
+    in
+    let bodies =
+      Array.of_list
+        (List.filter_map
+           (fun j ->
+             match items.(j) with
+             | SInst i ->
+               Some (pbody_of ~mem_len fname ~dc:dcs.(j) ~dns:dnss.(j) ~dni:dnis.(j) i)
+             | SJump -> None)
+           (List.init k (fun j -> j)))
+    in
+    (match bodies with
+    | [| b0 |] ->
       fun t ->
-        bump_inst t;
-        charge t c;
-        body t
-    | [| SJump |] ->
+        if t.steps + k > t.fuel_cap then run_slow t
+        else begin
+          t.steps <- t.steps + k;
+          t.ctrs.insts <- t.ctrs.insts + ni;
+          t.cyc <- t.cyc + total;
+          b0 t
+        end
+    | [| b0; b1 |] ->
       fun t ->
-        step_fuel t;
-        charge t Cost.jmp
+        if t.steps + k > t.fuel_cap then run_slow t
+        else begin
+          t.steps <- t.steps + k;
+          t.ctrs.insts <- t.ctrs.insts + ni;
+          t.cyc <- t.cyc + total;
+          b0 t;
+          b1 t
+        end
+    | [| b0; b1; b2 |] ->
+      fun t ->
+        if t.steps + k > t.fuel_cap then run_slow t
+        else begin
+          t.steps <- t.steps + k;
+          t.ctrs.insts <- t.ctrs.insts + ni;
+          t.cyc <- t.cyc + total;
+          b0 t;
+          b1 t;
+          b2 t
+        end
+    | [| b0; b1; b2; b3 |] ->
+      fun t ->
+        if t.steps + k > t.fuel_cap then run_slow t
+        else begin
+          t.steps <- t.steps + k;
+          t.ctrs.insts <- t.ctrs.insts + ni;
+          t.cyc <- t.cyc + total;
+          b0 t;
+          b1 t;
+          b2 t;
+          b3 t
+        end
     | _ ->
-      let slow =
-        Array.mapi
-          (fun j it ->
-            match it with
-            | SInst i ->
-              let body = tbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i
-              and c = costs.(j) in
-              fun t ->
-                bump_inst t;
-                charge t c;
-                body t
-            | SJump ->
-              fun t ->
-                step_fuel t;
-                charge t Cost.jmp)
-          items
-      in
-      let run_slow t =
-        for j = 0 to k - 1 do
-          (Array.unsafe_get slow j) t
-        done
-      in
-      let bodies =
-        Array.of_list
-          (List.filter_map
-             (fun j ->
-               match items.(j) with
-               | SInst i ->
-                 Some (tbody_of ~mem_len fname ~dc:dcs.(j) ~dns:dnss.(j) ~dni:dnis.(j) i)
-               | SJump -> None)
-             (List.init k (fun j -> j)))
-      in
-      (match bodies with
-      | [| b0 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t
-          end
-      | [| b0; b1 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t
-          end
-      | [| b0; b1; b2 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t;
-            b2 t
-          end
-      | [| b0; b1; b2; b3 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t;
-            b2 t;
-            b3 t
-          end
-      | _ ->
-        let nb = Array.length bodies in
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            for j = 0 to nb - 1 do
-              (Array.unsafe_get bodies j) t
-            done
-          end)
-  end
-  else begin
-    match items with
-    | [| SInst i |] ->
-      let body = pbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i and c = costs.(0) in
+      let nb = Array.length bodies in
       fun t ->
-        bump_inst t;
-        charge t c;
-        body t
-    | [| SJump |] ->
-      fun t ->
-        step_fuel t;
-        charge t Cost.jmp
-    | _ ->
-      let slow =
-        Array.mapi
-          (fun j it ->
-            match it with
-            | SInst i ->
-              let body = pbody_of ~mem_len fname ~dc:0 ~dns:0 ~dni:0 i
-              and c = costs.(j) in
-              fun t ->
-                bump_inst t;
-                charge t c;
-                body t
-            | SJump ->
-              fun t ->
-                step_fuel t;
-                charge t Cost.jmp)
-          items
-      in
-      let run_slow t =
-        for j = 0 to k - 1 do
-          (Array.unsafe_get slow j) t
-        done
-      in
-      let bodies =
-        Array.of_list
-          (List.filter_map
-             (fun j ->
-               match items.(j) with
-               | SInst i ->
-                 Some (pbody_of ~mem_len fname ~dc:dcs.(j) ~dns:dnss.(j) ~dni:dnis.(j) i)
-               | SJump -> None)
-             (List.init k (fun j -> j)))
-      in
-      (match bodies with
-      | [| b0 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t
-          end
-      | [| b0; b1 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t
-          end
-      | [| b0; b1; b2 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t;
-            b2 t
-          end
-      | [| b0; b1; b2; b3 |] ->
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            b0 t;
-            b1 t;
-            b2 t;
-            b3 t
-          end
-      | _ ->
-        let nb = Array.length bodies in
-        fun t ->
-          if t.steps + k > t.fuel_cap then run_slow t
-          else begin
-            t.steps <- t.steps + k;
-            t.ctrs.insts <- t.ctrs.insts + ni;
-            t.cyc <- t.cyc + total;
-            for j = 0 to nb - 1 do
-              (Array.unsafe_get bodies j) t
-            done
-          end)
-  end
+        if t.steps + k > t.fuel_cap then run_slow t
+        else begin
+          t.steps <- t.steps + k;
+          t.ctrs.insts <- t.ctrs.insts + ni;
+          t.cyc <- t.cyc + total;
+          for j = 0 to nb - 1 do
+            (Array.unsafe_get bodies j) t
+          done
+        end)
 
 (* --------------------------- calls ----------------------------- *)
 
@@ -822,7 +651,7 @@ let direct_call_frame (callee2 : cfunc2) (args : operand array) :
   let argv = if Array.length argv > n then Array.sub argv 0 n else argv in
   (argv, zs_tail)
 
-let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
+let ccall c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
     ~(args : operand array) ~site : iexec =
   let caller_id = caller.id and site_id = site.site_id in
   if callee_id < 0 then
@@ -840,97 +669,59 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
     let argv, zs_tail = direct_call_frame callee2 args in
     let nargs = Array.length argv in
     let dst_r = dst_reg dst in
-    if spec then
-      (fun t ->
-        bump_inst t;
-        t.ctrs.calls <- t.ctrs.calls + 1;
-        charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-        emit_call t site_id callee_id;
-        enter_code t callee_cf;
-        Rsb.push t.trsb caller_id;
-        (* Save the caller's activation, install the callee's, restore on
-           return.  The frame pools hand back distinct arrays per depth,
-           so the install stores are never redundant. *)
-        let regs = t.cur_regs and taint = t.cur_taint in
-        let depth = t.cur_depth and rt = t.cur_ret_to in
-        (* Write the argument prefix, zero only the entry-live tail: the
-           prefix is about to be overwritten anyway, and registers dead
-           on entry never surface their stale contents. *)
-        let callee_regs = raw_frame t ~depth:(depth + 1) in
-        for i = 0 to nargs - 1 do
-          Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
-        done;
-        zero_tail zs_tail 0 callee_regs;
-        t.cur_regs <- callee_regs;
-        t.cur_depth <- depth + 1;
-        t.cur_ret_to <- caller_id;
-        let v = callee2.fexec_spec t in
-        t.cur_regs <- regs;
-        t.cur_taint <- taint;
-        t.cur_depth <- depth;
-        t.cur_ret_to <- rt;
-        if dst_r >= 0 then begin
-          (match v with
-          | Some x -> Array.unsafe_set regs dst_r x
-          | None -> Array.unsafe_set regs dst_r 0);
-          Array.unsafe_set taint dst_r None
-        end)
-    else
-      fun t ->
-        bump_inst t;
-        t.ctrs.calls <- t.ctrs.calls + 1;
-        charge t (Cost.direct_call + t.cfg.extra_call_cycles);
-        emit_call t site_id callee_id;
-        enter_code t callee_cf;
-        Rsb.push t.trsb caller_id;
-        let regs = t.cur_regs in
-        let depth = t.cur_depth and rt = t.cur_ret_to in
-        let callee_regs = raw_frame t ~depth:(depth + 1) in
-        for i = 0 to nargs - 1 do
-          Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
-        done;
-        zero_tail zs_tail 0 callee_regs;
-        t.cur_regs <- callee_regs;
-        t.cur_depth <- depth + 1;
-        t.cur_ret_to <- caller_id;
-        let v = callee2.fexec_plain t in
-        t.cur_regs <- regs;
-        t.cur_depth <- depth;
-        t.cur_ret_to <- rt;
-        if dst_r >= 0 then
-          match v with
-          | Some x -> Array.unsafe_set regs dst_r x
-          | None -> Array.unsafe_set regs dst_r 0
+    fun t ->
+      bump_inst t;
+      t.ctrs.calls <- t.ctrs.calls + 1;
+      charge t (Cost.direct_call + t.cfg.extra_call_cycles);
+      emit_call t site_id callee_id;
+      enter_code t callee_cf;
+      Rsb.push t.trsb caller_id;
+      (* Save the caller's activation, install the callee's, restore on
+         return.  The frame pools hand back distinct arrays per depth,
+         so the install stores are never redundant. *)
+      let regs = t.cur_regs in
+      let depth = t.cur_depth and rt = t.cur_ret_to in
+      (* Write the argument prefix, zero only the entry-live tail: the
+         prefix is about to be overwritten anyway, and registers dead
+         on entry never surface their stale contents. *)
+      let callee_regs = raw_frame t ~depth:(depth + 1) in
+      for i = 0 to nargs - 1 do
+        Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
+      done;
+      zero_tail zs_tail 0 callee_regs;
+      t.cur_regs <- callee_regs;
+      t.cur_depth <- depth + 1;
+      t.cur_ret_to <- caller_id;
+      let v = callee2.fexec t in
+      t.cur_regs <- regs;
+      t.cur_depth <- depth;
+      t.cur_ret_to <- rt;
+      if dst_r >= 0 then
+        match v with
+        | Some x -> Array.unsafe_set regs dst_r x
+        | None -> Array.unsafe_set regs dst_r 0
   end
 
-let cicall ~spec ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~site
+let cicall ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~site
     ~slot : iexec =
   let caller_id = caller.id and site_id = site.site_id in
   let ofp = cop fptr in
   let argv = Array.map cop args in
   let nargs = Array.length argv in
-  let ftaint : int option array -> int option =
-    if spec && not asm then
-      match fptr with
-      | Reg r -> fun taint -> Array.unsafe_get taint r
-      | Imm _ -> fun _ -> None
-    else fun _ -> None
-  in
   let dst_r = dst_reg dst in
   fun t ->
     bump_inst t;
     t.ctrs.icalls <- t.ctrs.icalls + 1;
     charge t t.cfg.extra_icall_cycles;
-    let regs = t.cur_regs and taint = t.cur_taint in
+    let regs = t.cur_regs in
     let depth = t.cur_depth and rt = t.cur_ret_to in
     let v = ofp regs in
     let target_id = icall_resolve t v in
-    let fptr_taint = ftaint taint in
     (match t.cfg.fwd_override with
     | Some hook when not asm -> charge t (hook ~site ~target:t.fptr_table.(v))
     | Some _ | None ->
       let protection = if asm then Protection.F_none else t.fwd_prots.(slot) in
-      indirect_transfer t ~site ~target:target_id ~fptr_taint ~protection);
+      indirect_transfer t ~site ~target:target_id ~fptr_taint:None ~protection);
     emit_call t site_id target_id;
     let callee2 = c2by_id.(target_id) in
     let callee_cf = callee2.c2 in
@@ -947,26 +738,23 @@ let cicall ~spec ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array
     t.cur_regs <- callee_regs;
     t.cur_depth <- depth + 1;
     t.cur_ret_to <- caller_id;
-    let r = if spec then callee2.fexec_spec t else callee2.fexec_plain t in
+    let r = callee2.fexec t in
     t.cur_regs <- regs;
-    if spec then t.cur_taint <- taint;
     t.cur_depth <- depth;
     t.cur_ret_to <- rt;
-    if dst_r >= 0 then begin
-      (match r with
+    if dst_r >= 0 then
+      match r with
       | Some x -> Array.unsafe_set regs dst_r x
-      | None -> Array.unsafe_set regs dst_r 0);
-      if spec then Array.unsafe_set taint dst_r None
-    end
+      | None -> Array.unsafe_set regs dst_r 0
 
-let ccomplex ~spec c2by_id (caller : cfunc) (i : Machine.cinst) : iexec =
+let ccomplex c2by_id (caller : cfunc) (i : Machine.cinst) : iexec =
   match i with
   | CCall { dst; callee; callee_id; args; site } ->
-    ccall ~spec c2by_id caller ~dst ~callee_name:callee ~callee_id ~args ~site
+    ccall c2by_id caller ~dst ~callee_name:callee ~callee_id ~args ~site
   | CIcall { dst; fptr; args; site; slot } ->
-    cicall ~spec ~asm:false c2by_id caller ~dst ~fptr ~args ~site ~slot
+    cicall ~asm:false c2by_id caller ~dst ~fptr ~args ~site ~slot
   | CAsm_icall { fptr; site } ->
-    cicall ~spec ~asm:true c2by_id caller ~dst:None ~fptr ~args:[||] ~site ~slot:(-1)
+    cicall ~asm:true c2by_id caller ~dst:None ~fptr ~args:[||] ~site ~slot:(-1)
   | CAssign _ | CStore _ | CObserve _ -> assert false
 
 (* ----------------------- chain scanning ------------------------ *)
@@ -1085,7 +873,7 @@ let cterm (bexecs : bexec array) (cf : cfunc) label (term : terminator) : bexec 
    fused segments and individual call instructions, and only the FINAL
    block's terminator is compiled (non-final terminators are guaranteed
    [Jmp] and live inside the segments as seam accounting). *)
-let lower_chain ~spec ?stats (p : prog) (cf : cfunc) bexecs
+let lower_chain ?stats (p : prog) (cf : cfunc) bexecs
     (chain : (int * Machine.cblock) list) : bexec =
   let fname = cf.f.fname in
   let mem_len = p.mem_len in
@@ -1094,8 +882,8 @@ let lower_chain ~spec ?stats (p : prog) (cf : cfunc) bexecs
     Array.of_list
       (List.map
          (function
-           | `Seg items -> compile_segment ~spec ~mem_len ?stats fname items
-           | `Cx i -> ccomplex ~spec p.c2by_id cf i)
+           | `Seg items -> compile_segment ~mem_len ?stats fname items
+           | `Cx i -> ccomplex p.c2by_id cf i)
          chunk_list)
   in
   let term = cterm bexecs cf last_label last_term in
@@ -1157,10 +945,10 @@ let trace_of (cf : cfunc) l : (int * Machine.cblock) list =
   in
   go [] [ l ] l 1
 
-(* Lower one function variant into its entry [fexec]: one closure per
+(* Lower one function into its entry [fexec]: one closure per
    superblock trace, {e lazily per head}.  Every label gets a trampoline
    that lowers [trace_of] its label on first dispatch (double-checked
-   under a per-variant mutex) and replaces itself in [bexecs] —
+   under a per-function mutex) and replaces itself in [bexecs] —
    terminators fetch [bexecs.(l)] at dispatch time, so the swap is picked
    up transparently.  On the aggressively inlined images a function has
    hundreds of blocks and a workload touches a few percent of them, so
@@ -1168,7 +956,7 @@ let trace_of (cf : cfunc) l : (int * Machine.cblock) list =
    heads execution actually reaches is what keeps short-lived engines
    cheap.  [stats], passed only while tracing, collects the static
    superblock shape up front and the segment coverage as traces lower. *)
-let lower_fexec ~spec ?stats (p : prog) (c2f : cfunc2) : fexec =
+let lower_fexec ?stats (p : prog) (c2f : cfunc2) : fexec =
   let cf = c2f.c2 in
   let nblocks = Array.length cf.cblocks in
   (match stats with
@@ -1193,7 +981,7 @@ let lower_fexec ~spec ?stats (p : prog) (c2f : cfunc2) : fexec =
       (fun t ->
         Mutex.lock mu;
         if not lowered.(l) then begin
-          bexecs.(l) <- lower_chain ~spec ?stats p cf bexecs (trace_of cf l);
+          bexecs.(l) <- lower_chain ?stats p cf bexecs (trace_of cf l);
           lowered.(l) <- true;
           match stats with
           | Some s when Trace.enabled () ->
@@ -1205,41 +993,24 @@ let lower_fexec ~spec ?stats (p : prog) (c2f : cfunc2) : fexec =
         bexecs.(l) t)
   done;
   let entry = cf.f.entry in
-  if spec then begin
-    let zs = c2f.zeroset in
-    fun t ->
-      enter_frame t cf;
-      (* The caller never writes the callee's taint file, so every
-         entry-live slot must be [None]-ed — but only those: stale taint
-         on registers that are dead on entry is unobservable, by the
-         same liveness argument as the value frame. *)
-      let taint = raw_taint_frame t ~depth:t.cur_depth in
-      for i = 0 to Array.length zs - 1 do
-        Array.unsafe_set taint (Array.unsafe_get zs i) None
-      done;
-      publish_taint t taint;
-      bexecs.(entry) t
-  end
-  else
-    fun t ->
-      enter_frame t cf;
-      bexecs.(entry) t
+  fun t ->
+    enter_frame t cf;
+    bexecs.(entry) t
 
 (* ------------------------ lazy linking ------------------------- *)
 
-(* Both variants are linked lazily, per function, on the first call that
-   reaches them (double-checked under [link_lock]): compile itself is one
-   cheap liveness pass, and only the functions a workload actually
-   executes, under the speculation settings it actually uses, ever pay
-   for closure construction.  That matters for compile-dominated
-   workloads: short attack drills over many images, and the online
-   loop's fresh controller program every window.
+(* Functions are linked lazily, on the first call that reaches them
+   (double-checked under [link_lock]): compile itself is one cheap
+   liveness pass, and only the functions a workload actually executes
+   ever pay for closure construction.  That matters for
+   compile-dominated workloads: short runs over many images, and the
+   online loop's fresh controller program every window.
 
-   Call closures fetch their callee's [fexec_*] field at call time, so a
+   Call closures fetch their callee's [fexec] field at call time, so a
    linked body is picked up transparently; the only cross-function data
    baked at construction time is the callee's [zeroset], which [compile]
-   computes eagerly for exactly that reason.  The [fexec_*] fields and
-   [*_linked] flags are only written under the lock.  A racing domain
+   computes eagerly for exactly that reason.  The [fexec] field and the
+   [linked] flag are only written under the lock.  A racing domain
    either still sees a trampoline — and then synchronizes on the lock
    before re-reading the field — or sees the published closure; unlinked
    bodies are never reachable. *)
@@ -1247,67 +1018,46 @@ let lower_fexec ~spec ?stats (p : prog) (c2f : cfunc2) : fexec =
 (* The [fused-superblocks] / [segment-coverage] statistics are gathered
    only while tracing: the static [trace_of] scan over every label would
    otherwise be paid by every function a workload executes. *)
-let lower_traced ~spec p c2f =
+let lower_traced p c2f =
   let cf = c2f.c2 in
-  Trace.span ~cat:"sched" "engine:link"
-    ~args:
-      [ ("fn", Trace.Str cf.f.fname); ("variant", Trace.Str (if spec then "spec" else "plain")) ]
-    (fun () ->
-      if not (Trace.enabled ()) then lower_fexec ~spec p c2f
+  Trace.span ~cat:"sched" "engine:link" ~args:[ ("fn", Trace.Str cf.f.fname) ] (fun () ->
+      if not (Trace.enabled ()) then lower_fexec p c2f
       else begin
         let stats = { sb_count = 0; sb_blocks = 0; seg_fused = 0; seg_total = 0 } in
-        let fx = lower_fexec ~spec ~stats p c2f in
+        let fx = lower_fexec ~stats p c2f in
         Trace.counter ~cat:"sched" "fused-superblocks"
           [ ("superblocks", Trace.Int stats.sb_count); ("blocks", Trace.Int stats.sb_blocks) ];
         fx
       end)
 
-let link_now p c2f ~spec =
+let link_now p c2f =
   Mutex.lock p.link_lock;
-  (if spec then begin
-     if not c2f.spec_linked then begin
-       c2f.fexec_spec <- lower_traced ~spec:true p c2f;
-       c2f.spec_linked <- true
-     end
-   end
-   else if not c2f.plain_linked then begin
-     c2f.fexec_plain <- lower_traced ~spec:false p c2f;
-     c2f.plain_linked <- true
-   end);
+  if not c2f.linked then begin
+    c2f.fexec <- lower_traced p c2f;
+    c2f.linked <- true
+  end;
   Mutex.unlock p.link_lock
 
 let compile (cv : Machine.compiled) ~mem_len : prog =
   let c2by_id =
     Array.map
-      (fun cf ->
-        {
-          c2 = cf;
-          zeroset = zeroset_of cf;
-          fexec_plain = unlinked;
-          fexec_spec = unlinked;
-          plain_linked = false;
-          spec_linked = false;
-        })
+      (fun cf -> { c2 = cf; zeroset = zeroset_of cf; fexec = unlinked; linked = false })
       cv.cby_id
   in
   let p = { c2by_id; mem_len; link_lock = Mutex.create () } in
   Array.iter
     (fun c2f ->
-      c2f.fexec_plain <-
+      c2f.fexec <-
         (fun t ->
-          link_now p c2f ~spec:false;
-          c2f.fexec_plain t);
-      c2f.fexec_spec <-
-        (fun t ->
-          link_now p c2f ~spec:true;
-          c2f.fexec_spec t))
+          link_now p c2f;
+          c2f.fexec t))
     c2by_id;
   p
 
 (* The backend entry installed into [Machine.t.exec_entry]: builds the
    top-level frame (argument prefix + entry-live zeroing, like any call
-   site), then one speculation-variant dispatch per top-level call — the
-   closure chain runs variant-pure from there. *)
+   site) and runs the entry function's body.  [Engine.create] never
+   installs it for an engine with a speculation drill state. *)
 let entry (p : prog) : Machine.t -> cfunc -> int list -> int option =
  fun t cf args ->
   let c2 = p.c2by_id.(cf.id) in
@@ -1324,6 +1074,4 @@ let entry (p : prog) : Machine.t -> cfunc -> int list -> int option =
   publish_regs t regs;
   t.cur_depth <- 0;
   t.cur_ret_to <- top_id;
-  match t.cfg.speculation with
-  | None -> c2.fexec_plain t
-  | Some _ -> c2.fexec_spec t
+  c2.fexec t

@@ -6,20 +6,23 @@
     and {!Compile2}, the closure-threaded compiled backend that bakes
     dispatch decisions at compile time.  [create ?backend] picks one per
     engine; the process default (normally [Compiled]) is set once by the
-    CLI/bench [--engine] flag through {!set_default_backend}.
+    CLI/bench [--engine] flag through {!set_default_backend}.  An engine
+    whose config carries a speculation drill state always runs
+    [Interp]: drills exist for their security verdicts, which come
+    straight off the reference semantics.
 
-    The compiled backend lowers each function lazily, on its first call,
-    into superblock-trace closures, themselves lowered lazily per trace
-    head (see {!Compile2}); there is one compiled execution shape and no
-    knob beyond the backend choice.
+    The compiled backend lowers each function once, lazily on its first
+    call, into superblock-trace closures, themselves lowered lazily per
+    trace head (see {!Compile2}); there is one compiled execution shape
+    and no knob beyond the backend choice.
 
     Compilation output — the {!Machine.compiled} view plus the closure
     program — is cached in a {!Pibe_util.Memo} keyed on physical program
     identity alone, so alternating over a working set of programs (the
     online dual replay's deployed/pristine pair, attack drills over
     several images) compiles each program exactly once, whatever mix of
-    backends and speculation settings its engines use.  Cache traffic is
-    visible as ["sched"]-category [engine:compile] spans and
+    backends its engines use.  Cache traffic is visible as
+    ["sched"]-category [engine:compile] spans and
     [compile-cache-hit]/[compile-cache-miss] counters. *)
 
 open Pibe_ir
@@ -51,12 +54,12 @@ let default_backend () = Atomic.get default_backend_cell
    wide sweeps.
 
    An entry is keyed on physical program identity alone: the compiled
-   view and the closure program depend on nothing else (the plain and
-   speculation variants live side by side in one closure program, and
-   interpreter engines use only the view), so every engine on one image
-   shares one entry (pinned by the cache-sharing test in
-   test_backend.ml).  A program that fails the static index check
-   raises from [compile] and is never recorded. *)
+   view and the closure program depend on nothing else (interpreter
+   engines, drill engines among them, use only the view, and the closure
+   program links nothing until a compiled engine calls into it), so
+   every engine on one image shares one entry (pinned by the
+   cache-sharing test in test_backend.ml).  A program that fails the
+   static index check raises from [compile] and is never recorded. *)
 type cache_entry = {
   cview : compiled;
   cclosures : Compile2.prog;
@@ -67,17 +70,21 @@ let cache : (Program.t, cache_entry) Pibe_util.Memo.t =
 
 let compile_cache_stats () = Pibe_util.Memo.stats cache
 
-let entry_for prog =
-  Pibe_util.Memo.get cache prog (fun () ->
-      Pibe_trace.Trace.span ~cat:"sched" "engine:compile" (fun () ->
-          let cview = compile prog in
-          { cview; cclosures = Compile2.compile cview ~mem_len:prog.Program.globals_size }))
+let compile_entry prog =
+  Pibe_trace.Trace.span ~cat:"sched" "engine:compile" (fun () ->
+      let cview = compile prog in
+      { cview; cclosures = Compile2.compile cview ~mem_len:prog.Program.globals_size })
+
+let entry_for prog = Pibe_util.Memo.get cache prog compile_entry
 
 (* ------------------------ construction ------------------------- *)
 
 let create ?(config = default_config) ?backend prog =
   let backend =
-    match backend with Some b -> b | None -> Atomic.get default_backend_cell
+    match (config.speculation, backend) with
+    | Some _, _ -> Interp
+    | None, Some b -> b
+    | None, None -> Atomic.get default_backend_cell
   in
   let entry = entry_for prog in
   let compiled = entry.cview in
@@ -122,7 +129,6 @@ let create ?(config = default_config) ?backend prog =
     frames = Array.make 0 [||];
     taint_frames = Array.make 0 [||];
     cur_regs = [||];
-    cur_taint = [||];
     cur_depth = 0;
     cur_ret_to = 0;
     call_memo = None;

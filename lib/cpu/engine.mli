@@ -23,9 +23,9 @@
     - [Compiled] (the default): a closure-threading stage additionally
       lowers every instruction, expression and terminator into a
       pre-specialized closure — operand kinds, binop selection, costs,
-      resolved callee ids, PHT keys, indirect-call protection kinds and
-      the speculation-off fast path are baked at closure construction,
-      so the hot loop does no constructor matching at all.  The unit of
+      resolved callee ids, PHT keys and indirect-call protection kinds
+      are baked at closure construction, so the hot loop does no
+      constructor matching at all.  The unit of
       lowering is a {e superblock trace}: the chain of blocks a label
       reaches through unconditional [Jmp] edges runs as one closure, its
       straight-line runs fused into segments with one batched
@@ -36,13 +36,18 @@
       dispatch — so an engine pays only for the code its workload
       reaches.
     - [Interp]: the reference tree-walking interpreter, kept as the
-      executable semantics.
+      executable semantics.  It is also the only backend that runs
+      speculation drills: an engine whose config carries a
+      [speculation] state runs [Interp] whatever [?backend] or the
+      process default asks for, so attack verdicts come straight off
+      the reference semantics and the compiled backend keeps one
+      taint-free lowering per function.
 
     The contract is bit-exactness: for any program, config and workload
-    the two backends produce identical cycles, counters, traces, memory,
-    speculation events and errors, so when (or whether) a trace is
-    lowered is unobservable except as wall-clock speed.  The golden
-    fingerprints in [test/test_measure.ml] and the differential suite in
+    the two backends produce identical cycles, counters, traces, memory
+    and errors, so when (or whether) a trace is lowered is unobservable
+    except as wall-clock speed.  The golden fingerprints in
+    [test/test_measure.ml] and the differential suite in
     [test/test_backend.ml] pin it; the golden [test/golden/bench.t]
     byte-compares full [--quick] bench output between the two backends.
 
@@ -50,8 +55,7 @@
     keyed on {e physical} program identity alone, so repeated [create]
     over a working set of programs — attack drills, measurement cells,
     the online dual replay's deployed/pristine alternation — compiles
-    each program exactly once, whatever backend or speculation setting
-    each engine uses.  Compile cost and cache traffic are visible as
+    each program exactly once, whatever backend each engine uses.  Compile cost and cache traffic are visible as
     ["sched"]-category [engine:compile] spans and
     [compile-cache-hit]/[compile-cache-miss] trace counters; linking a
     function additionally emits an [engine:link] span, and while tracing
@@ -152,7 +156,9 @@ exception Out_of_fuel
 
 val create : ?config:config -> ?backend:backend -> Program.t -> t
 (** [backend] defaults to {!default_backend}[ ()].  Both backends are
-    bit-exact against each other (see the parity contract above).
+    bit-exact against each other (see the parity contract above).  A
+    [config] with [speculation = Some _] selects [Interp] regardless of
+    [backend], so {!backend} reports [Interp] for every drill engine.
 
     Raises [Runtime_error "invalid static indices in @f"] when a function
     [f] reads or writes a register outside [\[0, nregs)], names a block

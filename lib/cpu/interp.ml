@@ -1,9 +1,11 @@
 (** Reference tree-walking interpreter over {!Machine.t}.
 
     This is the semantics oracle: the closure-compiled backend
-    ({!Compile2}) must be cycle-, counter- and speculation-exact against
-    it (pinned by the golden fingerprints in [test/test_measure.ml] and
-    the qcheck differential suite in [test/test_backend.ml]).
+    ({!Compile2}) must be cycle- and counter-exact against it (pinned by
+    the golden fingerprints in [test/test_measure.ml] and the qcheck
+    differential suite in [test/test_backend.ml]).  It is also the only
+    backend that threads taint: every engine with a speculation drill
+    state runs here.
 
     Unlike the pre-PR5 engine, every evaluator here is a top-level
     function: [exec_func] no longer rebuilds [eval_expr]/[invoke]/[do_call]

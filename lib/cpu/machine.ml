@@ -5,10 +5,12 @@
     counters); {!compiled} is the immutable per-program lowering both
     backends consume (interned ids, pre-resolved call targets, dense
     indirect-call slots).  Everything whose semantics must be identical
-    across backends — cycle charging, the indirect-branch transfer with
-    its speculation drills, the return-path protection logic, frame
-    pools — lives here as plain functions, so {!Interp} and {!Compile2}
-    cannot drift apart on the subtle parts.  [Engine] is the public
+    across backends — cycle charging, the indirect-branch transfer, the
+    return-path protection logic, frame pools — lives here as plain
+    functions, so {!Interp} and {!Compile2} cannot drift apart on the
+    subtle parts.  The speculation drills inside the transfer and the
+    return path run only on {!Interp}: an engine that carries a drill
+    state never selects the compiled backend.  [Engine] is the public
     façade; this module is internal to [pibe_cpu]. *)
 
 open Pibe_ir
@@ -154,13 +156,16 @@ type t = {
          each backend controls how much of the register file it zeroes *)
   mutable frames : int array array;  (* register-frame pool, one per depth *)
   mutable taint_frames : int option array array;
+      (* taint-frame pool, one per depth; only the interpreter's
+         speculation drills use it *)
+  (* The [cur_*] fields are the compiled backend's running activation;
+     the interpreter passes its activation as arguments instead. *)
   mutable cur_regs : int array;
       (* the running activation's register frame, (re-)published by every
          compiled chunk that invokes per-instruction bodies: bodies are
          arity-1 closures over [t] alone, which OCaml applies as a direct
          indirect call at each site — arity >= 2 would funnel every body
          through the program-wide [caml_apply2] trampoline *)
-  mutable cur_taint : int option array;  (* ditto, spec-variant taint frame *)
   mutable cur_depth : int;  (* the running activation's depth *)
   mutable cur_ret_to : int;
       (* the running activation's return-prediction target (caller id);
@@ -339,22 +344,14 @@ let frame t ~depth ~nregs =
   done;
   fr
 
-(* Pooled taint frame for [depth] with stale contents, mirror of
-   [raw_frame]: callers must overwrite every slot the activation can
-   read before writing. *)
-let raw_taint_frame t ~depth =
+(* The pooled taint frame for [depth], its first [nregs] slots cleared:
+   the mirror of [frame] for the interpreter's speculation drills. *)
+let taint_frame t ~depth ~nregs =
   if depth >= Array.length t.taint_frames then
     t.taint_frames <- grow_pool t.taint_frames ~depth;
+  if Array.length t.taint_frames.(depth) = 0 then
+    t.taint_frames.(depth) <- Array.make (max t.max_regs 1) None;
   let fr = t.taint_frames.(depth) in
-  if Array.length fr = 0 then begin
-    let fr = Array.make (max t.max_regs 1) None in
-    t.taint_frames.(depth) <- fr;
-    fr
-  end
-  else fr
-
-let taint_frame t ~depth ~nregs =
-  let fr = raw_taint_frame t ~depth in
   for i = 0 to nregs - 1 do
     Array.unsafe_set fr i None
   done;

@@ -47,6 +47,29 @@ let defenses_name d =
   | [] -> "none"
   | parts -> String.concat "+" parts
 
+(* Every part [defenses_name] prints, plus short aliases; a "+"-joined
+   list names the union of its parts. *)
+let add_defense d = function
+  | "none" -> Some d
+  | "retpolines" | "retp" -> Some { d with retpolines = true }
+  | "ret-retpolines" | "retret" -> Some { d with ret_retpolines = true }
+  | "lvi-cfi" | "lvi" -> Some { d with lvi = true }
+  | "all-defenses" | "all" -> Some { d with retpolines = true; ret_retpolines = true; lvi = true }
+  | "fineibt" -> Some { d with fineibt = true }
+  | "pac-ret" | "pac" -> Some { d with pac = true }
+  | "coarse-cfi" | "coarse" -> Some { d with coarse_cfi = true }
+  | _ -> None
+
+let defenses_of_string text =
+  let rec go d = function
+    | [] -> Ok d
+    | part :: rest -> (
+      match add_defense d part with
+      | Some d -> go d rest
+      | None -> Error (Printf.sprintf "unknown defense set %S" text))
+  in
+  go no_defenses (String.split_on_char '+' text)
+
 (* Kind precedence when several forward (or backward) requests are
    combined: each site keeps exactly one kind, the thunk-based
    retpoline/LVI family wins over the check-based FineIBT/PAC kinds, and

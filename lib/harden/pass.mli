@@ -43,6 +43,15 @@ val all_defenses : defenses
     alternative frontier points, not part of it. *)
 
 val defenses_name : defenses -> string
+(** A ["+"]-joined list of the enabled defenses (["none"] for none), with
+    the paper's stack named ["all-defenses"] and LVI alone ["lvi-cfi"]. *)
+
+val defenses_of_string : string -> (defenses, string) result
+(** Reads every name {!defenses_name} prints, so
+    [defenses_of_string (defenses_name d) = Ok d] for every [d].  Each
+    ["+"]-separated part also has a short alias ([retp], [retret],
+    [lvi], [all], [pac], [coarse]), and a list names the union of its
+    parts.  [Error] names the whole text when a part is unknown. *)
 
 val forward_kind : defenses -> Protection.forward
 (** Combination precedence: the retpoline/LVI thunks subsume the

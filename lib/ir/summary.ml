@@ -18,13 +18,14 @@ type t = {
 let summaries : (func, t) Pibe_util.Memo.t =
   Pibe_util.Memo.create ~capacity:(1 lsl 15) ~hash:(fun f -> Hashtbl.hash f.fname) ~equal:( == ) ()
 
-let of_func f =
-  Pibe_util.Memo.get summaries f (fun () ->
-      {
-        blocks = Array.length f.blocks;
-        insts = Func.inst_count f;
-        code_bytes = Layout.func_size f;
-        icall_sites = Func.icall_sites f;
-        rets = Func.ret_count f;
-        jump_tables = Func.jump_table_count f;
-      })
+let compute (f : func) =
+  {
+    blocks = Array.length f.blocks;
+    insts = Func.inst_count f;
+    code_bytes = Layout.func_size f;
+    icall_sites = Func.icall_sites f;
+    rets = Func.ret_count f;
+    jump_tables = Func.jump_table_count f;
+  }
+
+let of_func f = Pibe_util.Memo.get summaries f compute

@@ -1,11 +1,8 @@
 module Profile = Pibe_profile.Profile
-module Collector = Pibe_profile.Collector
-module Program = Pibe_ir.Program
 module Engine = Pibe_cpu.Engine
 module Rng = Pibe_util.Rng
 module Pool = Pibe_util.Pool
 module Workload = Pibe_kernel.Workload
-module H = Pibe_harden.Pass
 module Trace = Pibe_trace.Trace
 
 type config = {
@@ -110,21 +107,6 @@ let mix_descriptor sched =
   in
   String.concat " -> " (List.rev dedup)
 
-let replay ~requests ~image ~(phase : Workload.phase) rng =
-  let eng = Engine.create ~config:(H.engine_config image) image.H.prog in
-  for _ = 1 to requests do
-    phase.Workload.request eng rng
-  done;
-  eng
-
-let profile_window ~requests ~prog ~(phase : Workload.phase) rng =
-  let collector = Collector.create prog in
-  let profiler = Collector.engine collector in
-  for _ = 1 to requests do
-    phase.Workload.request profiler rng
-  done;
-  Collector.lift collector
-
 type wresult = {
   w_cycles : int;  (* what this instance's deployed image paid *)
   w_counter_cycles : int;  (* counterfactual on the fleet image; 0 unless requested *)
@@ -134,22 +116,22 @@ type wresult = {
 (* One instance-window: replay the same seeded request stream on the
    instance's deployed image (cycle accounting), optionally on a
    counterfactual image (canary evaluation), and on a profiling build of
-   the pristine kernel (the shard's window profile) — the same dual-replay
-   discipline as [Sim.run_window], per instance. *)
+   the pristine kernel (the shard's window profile) — [Sim.run_window]'s
+   dual replay, per instance. *)
 let run_instance_window ~requests ~prog ~image ~counterfactual ~phase rng =
   let rng_prof = Rng.copy rng in
   let rng_old = Rng.copy rng in
-  let deployed = replay ~requests ~image ~phase rng in
+  let deployed = Sim.replay ~requests ~image ~phase rng in
   Engine.trace_counters ~cat:"online" ~name:"fleet-deployed" deployed;
   let w_counter_cycles =
     match counterfactual with
     | None -> 0
-    | Some old_image -> Engine.cycles (replay ~requests ~image:old_image ~phase rng_old)
+    | Some old_image -> Engine.cycles (Sim.replay ~requests ~image:old_image ~phase rng_old)
   in
   {
     w_cycles = Engine.cycles deployed;
     w_counter_cycles;
-    w_profile = profile_window ~requests ~prog ~phase rng_prof;
+    w_profile = Sim.profile_window ~requests ~prog ~phase rng_prof;
   }
 
 (* --------------------------- fleet controller ----------------------- *)

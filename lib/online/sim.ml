@@ -49,6 +49,21 @@ type outcome = {
   aborted : string option;
 }
 
+let replay ~requests ~image ~(phase : Workload.phase) rng =
+  let eng = Engine.create ~config:(H.engine_config image) image.H.prog in
+  for _ = 1 to requests do
+    phase.Workload.request eng rng
+  done;
+  eng
+
+let profile_window ~requests ~prog ~(phase : Workload.phase) rng =
+  let collector = Collector.create prog in
+  let profiler = Collector.engine collector in
+  for _ = 1 to requests do
+    phase.Workload.request profiler rng
+  done;
+  Collector.lift collector
+
 (* One production window, in one of two collection regimes.
 
    Default (the paper's idealization): replay the same request stream
@@ -73,18 +88,11 @@ let run_window ~cfg ~prog ~image ~provenance ~(phase : Workload.phase) rng =
     (Engine.cycles deployed, Collector.lift collector)
   end
   else begin
+    let requests = cfg.requests_per_window in
     let rng_profile = Rng.copy rng in
-    let deployed = Engine.create ~config:(H.engine_config image) image.H.prog in
-    for _ = 1 to cfg.requests_per_window do
-      phase.Workload.request deployed rng
-    done;
+    let deployed = replay ~requests ~image ~phase rng in
     Engine.trace_counters ~cat:"online" ~name:"window-deployed" deployed;
-    let collector = Collector.create prog in
-    let profiler = Collector.engine collector in
-    for _ = 1 to cfg.requests_per_window do
-      phase.Workload.request profiler rng_profile
-    done;
-    (Engine.cycles deployed, Collector.lift collector)
+    (Engine.cycles deployed, profile_window ~requests ~prog ~phase rng_profile)
   end
 
 let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~training

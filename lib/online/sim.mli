@@ -64,6 +64,28 @@ type outcome = {
           instead of losing the whole deployment's history. *)
 }
 
+val replay :
+  requests:int ->
+  image:Pibe_harden.Pass.image ->
+  phase:Pibe_kernel.Workload.phase ->
+  Pibe_util.Rng.t ->
+  Pibe_cpu.Engine.t
+(** The deployed half of a window: [requests] of [phase]'s requests,
+    drawn from the generator, on a fresh engine over the hardened image
+    (its protections and costs).  Returns the engine for its cycles and
+    counters. *)
+
+val profile_window :
+  requests:int ->
+  prog:Pibe_ir.Program.t ->
+  phase:Pibe_kernel.Workload.phase ->
+  Pibe_util.Rng.t ->
+  Pibe_profile.Profile.t
+(** The profiling half of a pristine-shadow window: the same replay on a
+    collector-hooked engine over the pristine kernel, lifted to an
+    origin-id window profile.  {!run} and {!Fleet} give it a copy of the
+    deployed half's generator, so both halves see one request stream. *)
+
 val run :
   ?config:config ->
   ?verify:bool ->

@@ -490,7 +490,7 @@ let run_with_stats prog =
   Program.fold_unordered prog ~init:(prog, zero_stats) ~f:(fun (acc, total) f ->
       if f.attrs.optnone || f.attrs.is_asm then (acc, total)
       else
-        let f', s = Pibe_util.Memo.get cleaned f (fun () -> run_func_with_stats f) in
+        let f', s = Pibe_util.Memo.get cleaned f run_func_with_stats in
         ((if f' == f then acc else Program.update_func acc f'), add_stats total s))
 
 let run prog = fst (run_with_stats prog)

@@ -156,7 +156,7 @@ let reuse_prefix ~verify prog profile prefix ~compute =
   in
   let cold = ref None in
   let e =
-    Pibe_util.Memo.get prefixes key (fun () ->
+    Pibe_util.Memo.get prefixes key (fun _ ->
         let ((st, last, stats) as computed) = compute () in
         cold := Some computed;
         { pstate = private_copy st; pstats = stats; plast = last })

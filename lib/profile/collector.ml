@@ -66,9 +66,10 @@ let build_tables prog =
 let tables_cache : (Program.t, tables) Pibe_util.Memo.t =
   Pibe_util.Memo.create ~capacity:16 ~equal:( == ) ()
 
-let tables_for prog =
-  Pibe_util.Memo.get tables_cache prog (fun () ->
-      Trace.span ~cat:"sched" "collector:tables" (fun () -> build_tables prog))
+let traced_tables prog =
+  Trace.span ~cat:"sched" "collector:tables" (fun () -> build_tables prog)
+
+let tables_for prog = Pibe_util.Memo.get tables_cache prog traced_tables
 
 (* ------------------------ pair aggregation ------------------------- *)
 

@@ -181,7 +181,7 @@ let get t k compute =
     t.misses <- t.misses + 1;
     Mutex.unlock t.lock;
     note t ~hit:false;
-    let fresh = compute () in
+    let fresh = compute k in
     Mutex.protect t.lock (fun () ->
         let i = promote t h k in
         if i >= 0 then t.value_at.(i)  (* a racing domain finished first *)

@@ -41,10 +41,12 @@ val create :
     [hash] must agree with [equal] (equal keys hash alike); it is
     computed outside the lock. *)
 
-val get : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+val get : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
 (** [get t k compute] is the value recorded for [k], made the most
-    recently used; on a miss, [compute ()]'s result (or a racing
-    domain's, if it finished first) is recorded and returned. *)
+    recently used; on a miss, [compute k]'s result (or a racing
+    domain's, if it finished first) is recorded and returned.  Passing
+    [k] lets callers hand over a closed function, so a hit allocates
+    nothing at the call site either. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Whether [k] has an entry; counts nothing and keeps the order. *)

@@ -2,14 +2,17 @@
    cache.
 
    The engine's parity contract (engine.mli) says Interp and Compiled are
-   bit-exact: identical cycles, counters, traces, memory, speculation
-   events and errors for any program and configuration.  The qcheck
-   properties here drive random programs through both backends under
-   every interesting configuration axis — protections, surcharges,
-   rsb_refill, a stateful fwd_override hook, live speculation drills with
-   planted injections, tiny fuel budgets and wild indirect calls — and
-   compare full observable snapshots.  The golden fingerprints in
-   test_measure.ml pin the same contract against the recorded seed. *)
+   bit-exact: identical cycles, counters, traces, memory and errors for
+   any program and configuration.  The qcheck properties here drive
+   random programs through both backends under every interesting
+   configuration axis — protections, surcharges, rsb_refill, a stateful
+   fwd_override hook, tiny fuel budgets and wild indirect calls — and
+   compare full observable snapshots.  Speculation drills are not an
+   axis: an engine with a drill state runs the interpreter whatever
+   backend it asks for (pinned below), and the drill verdicts are pinned
+   by test_attack.ml's matrix and test_measure.ml's attack fingerprint.
+   The golden fingerprints in test_measure.ml pin the same contract
+   against the recorded seed. *)
 
 open Pibe_ir
 open Pibe_cpu
@@ -26,7 +29,6 @@ type snapshot = {
   trace : int list;
   memory : int list;
   icache : int * int;
-  spec_events : Speculation.event list;
   edges : (int * int) list;  (** (site id, callee id) call edges, in order *)
 }
 
@@ -43,13 +45,12 @@ let counters_list (c : Engine.counters) =
     c.Engine.peak_stack_bytes;
   ]
 
-(* [mkconfig] builds a fresh config (plus its drill state, if any) per
-   run, so stateful hooks and speculation state never leak between the
-   two backends under comparison.  The call-edge hook is installed on
+(* [mkconfig] builds a fresh config per run, so stateful hooks never
+   leak between the two backends under comparison.  The call-edge hook is installed on
    top, so every differential also compares the edge stream a profiler
    sees. *)
 let run_with ~backend ~mkconfig prog calls =
-  let config, spec = mkconfig () in
+  let config = mkconfig () in
   let edges = ref [] in
   let config =
     { config with Engine.on_call = Some (fun ~site ~callee -> edges := (site, callee) :: !edges) }
@@ -72,7 +73,6 @@ let run_with ~backend ~mkconfig prog calls =
     memory = Array.to_list (Engine.memory engine);
     icache =
       (Icache.hit_count (Engine.icache engine), Icache.miss_count (Engine.icache engine));
-    spec_events = (match spec with None -> [] | Some s -> Speculation.events s);
     edges = List.rev !edges;
   }
 
@@ -85,82 +85,64 @@ let agree ~mkconfig prog calls =
 (* ------------------------------------------------------------------ *)
 
 let base () =
-  ({ Engine.default_config with Engine.record_trace = true }, None)
+  { Engine.default_config with Engine.record_trace = true }
 
 (* Site/function-keyed protections (pure, so both backends resolve the
    same kinds) plus every per-event surcharge and rsb_refill. *)
 let hardened () =
-  ( {
-      Engine.default_config with
-      Engine.record_trace = true;
-      fwd_protection =
-        (fun site ->
-          match site.Types.site_id mod 6 with
-          | 0 -> Protection.F_none
-          | 1 -> Protection.F_retpoline
-          | 2 -> Protection.F_lvi
-          | 3 -> Protection.F_fineibt
-          | 4 -> Protection.F_coarse_cfi
-          | _ -> Protection.F_fenced_retpoline);
-      bwd_protection =
-        (fun name ->
-          match Hashtbl.hash name mod 5 with
-          | 0 -> Protection.B_none
-          | 1 -> Protection.B_lvi
-          | 2 -> Protection.B_ret_retpoline
-          | 3 -> Protection.B_pac
-          | _ -> Protection.B_fenced_ret_retpoline);
-      (* pure and site/target-keyed, so both backends see the same CFI
-         verdict for the same transient edge *)
-      cfi_valid =
-        (fun ~site ~target ~protection:_ ->
-          (site.Types.site_id + String.length target) mod 3 <> 0);
-      extra_call_cycles = 2;
-      extra_icall_cycles = 3;
-      extra_ret_cycles = 1;
-      rsb_refill = true;
-    },
-    None )
+  {
+    Engine.default_config with
+    Engine.record_trace = true;
+    fwd_protection =
+      (fun site ->
+        match site.Types.site_id mod 6 with
+        | 0 -> Protection.F_none
+        | 1 -> Protection.F_retpoline
+        | 2 -> Protection.F_lvi
+        | 3 -> Protection.F_fineibt
+        | 4 -> Protection.F_coarse_cfi
+        | _ -> Protection.F_fenced_retpoline);
+    bwd_protection =
+      (fun name ->
+        match Hashtbl.hash name mod 5 with
+        | 0 -> Protection.B_none
+        | 1 -> Protection.B_lvi
+        | 2 -> Protection.B_ret_retpoline
+        | 3 -> Protection.B_pac
+        | _ -> Protection.B_fenced_ret_retpoline);
+    extra_call_cycles = 2;
+    extra_icall_cycles = 3;
+    extra_ret_cycles = 1;
+    rsb_refill = true;
+  }
 
 (* Stateful forward-override hook (the JumpSwitches-style comparator):
    the charge depends on call order, so any divergence in execution order
    between backends shows up as a cycle mismatch. *)
 let overridden () =
   let n = ref 0 in
-  ( {
-      Engine.default_config with
-      Engine.record_trace = true;
-      fwd_override =
-        Some
-          (fun ~site:_ ~target:_ ->
-            incr n;
-            !n mod 7);
-    },
-    None )
+  {
+    Engine.default_config with
+    Engine.record_trace = true;
+    fwd_override =
+      Some
+        (fun ~site:_ ~target:_ ->
+          incr n;
+          !n mod 7);
+  }
 
-(* Live speculation drills with planted injections: poisoned fptr-cell
+(* A live speculation drill with planted injections: poisoned fptr-cell
    loads (LVI) and an armed cross-thread RSB desync (Ret2spec). *)
 let drilled () =
   let s = Speculation.create () in
   Speculation.inject_load s ~addr:3 ~value:1;
   Speculation.inject_rsb s ~scenario:Speculation.Cross_thread ~gadget:"f1";
-  ( { Engine.default_config with Engine.record_trace = true; speculation = Some s },
-    Some s )
-
-(* A forged-PAC RSB desync against PAC-signed returns: the one scenario
-   B_pac records, layered on the hardened protection mix so the PAC
-   cost/event path is exercised under both backends. *)
-let forged () =
-  let s = Speculation.create () in
-  Speculation.inject_load s ~addr:3 ~value:1;
-  Speculation.inject_rsb s ~scenario:Speculation.Forged_pac ~gadget:"f1";
-  let config, _ = hardened () in
-  ({ config with Engine.speculation = Some s; rsb_refill = false }, Some s)
+  { Engine.default_config with Engine.record_trace = true; speculation = Some s }
 
 (* Tiny step budget: both backends must die out-of-fuel at the same
    instruction with the same partial cycles and counters. *)
 let starved () =
-  ({ Engine.default_config with Engine.record_trace = true; fuel = 37 }, None)
+  { Engine.default_config with Engine.record_trace = true; fuel = 37 }
 
 let differential name mkconfig =
   QCheck.Test.make ~count:60 ~name
@@ -208,12 +190,7 @@ let differential_chain_starved =
     (fun seed ->
       let prog = Helpers.random_chain_program seed in
       let mkconfig () =
-        ( {
-            Engine.default_config with
-            Engine.record_trace = true;
-            fuel = 5 + (seed mod 97);
-          },
-          None )
+        { Engine.default_config with Engine.record_trace = true; fuel = 5 + (seed mod 97) }
       in
       agree ~mkconfig prog (Helpers.standard_calls prog))
 
@@ -236,12 +213,7 @@ let differential_calls_starved =
     (fun seed ->
       let prog = Helpers.random_call_program seed in
       let mkconfig () =
-        ( {
-            Engine.default_config with
-            Engine.record_trace = true;
-            fuel = 5 + (seed mod 97);
-          },
-          None )
+        { Engine.default_config with Engine.record_trace = true; fuel = 5 + (seed mod 97) }
       in
       agree ~mkconfig prog (Helpers.standard_calls prog))
 
@@ -381,7 +353,7 @@ let test_fuel_sweep_at_call_seam () =
   let calls = [ ("f0", [ 1 ]); ("f0", [ 2 ]); ("f0", [ 3 ]); ("f0", [ 4 ]) ] in
   for fuel = 1 to 80 do
     let mkconfig () =
-      ({ Engine.default_config with Engine.record_trace = true; fuel }, None)
+      { Engine.default_config with Engine.record_trace = true; fuel }
     in
     Alcotest.(check bool)
       (Printf.sprintf "fuel %d dies at the same step" fuel)
@@ -433,7 +405,7 @@ let test_acc_runs () =
 
 (* A self-recursive callee: every activation re-enters the same lowered
    traces from a deeper frame, and the runs must agree with the
-   interpreter. *)
+   interpreter, also under protections that charge every return. *)
 let test_recursive_callee () =
   let open Types in
   let prog = ref (Program.with_globals_size Program.empty Helpers.mem_cells) in
@@ -472,7 +444,7 @@ let test_recursive_callee () =
   let calls = List.init 6 (fun i -> ("f0", [ i ])) in
   Alcotest.(check bool)
     "recursive callee agrees" true
-    (agree ~mkconfig:base prog calls && agree ~mkconfig:drilled prog calls)
+    (agree ~mkconfig:base prog calls && agree ~mkconfig:hardened prog calls)
 
 (* Lazy lowering is shared: four domains drive private engines over ONE
    program, so whichever domain first reaches a function or a trace head
@@ -485,7 +457,7 @@ let test_lazy_lowering_deterministic_across_domains () =
   let profile (chain_prog, call_prog) () =
     ( run_with ~backend:Engine.Compiled ~mkconfig:base chain_prog
         (Helpers.standard_calls chain_prog),
-      run_with ~backend:Engine.Compiled ~mkconfig:drilled call_prog
+      run_with ~backend:Engine.Compiled ~mkconfig:hardened call_prog
         (Helpers.standard_calls call_prog) )
   in
   let sequential = profile (progs ()) () in
@@ -510,31 +482,6 @@ let differential_wild =
       let prog = Program.set_global prog ~addr:0 ~value:997 in
       let prog = Program.set_global prog ~addr:1 ~value:(-3) in
       agree ~mkconfig:base prog (Helpers.standard_calls prog))
-
-(* ------------------------------------------------------------------ *)
-(* Attack drills on the generated kernel                               *)
-(* ------------------------------------------------------------------ *)
-
-let drill_outcomes backend =
-  let info = Helpers.kernel () in
-  let spec = Speculation.create () in
-  let config =
-    { Engine.default_config with Engine.speculation = Some spec; rsb_refill = true }
-  in
-  let engine = Engine.create ~config ~backend info.Pibe_kernel.Gen.prog in
-  Attack.run_all engine ~victim_site:info.Pibe_kernel.Gen.victim_icall_site
-    ~poisoned_addr:info.Pibe_kernel.Gen.victim_ops_addr
-    ~gadget_fptr:info.Pibe_kernel.Gen.gadget_fptr ~gadget:info.Pibe_kernel.Gen.gadget
-    ~valid_gadget:info.Pibe_kernel.Gen.valid_gadget ~entry:info.Pibe_kernel.Gen.entry
-    ~args:[ Pibe_kernel.Gen.nr info "read"; 0; 5 ]
-
-let test_attack_drills () =
-  let a = drill_outcomes Engine.Interp in
-  let b = drill_outcomes Engine.Compiled in
-  Alcotest.(check bool) "attack drill outcomes identical" true (a = b);
-  Alcotest.(check bool)
-    "unprotected kernel is attackable" true
-    (List.exists (fun (_, o) -> o.Attack.gadget_reached) a)
 
 (* ------------------------------------------------------------------ *)
 (* Compile cache                                                       *)
@@ -578,9 +525,9 @@ let test_trace_compile_events () =
     (sched "compile-cache-hit" Trace.Counter)
 
 (* The cache is keyed on physical program identity alone: a plain
-   compiled engine, a speculation-drill engine (the taint-threading
-   variant) and an interpreter engine on one program share one entry, so
-   together they cost exactly one compile. *)
+   compiled engine, a speculation-drill engine (which runs the
+   interpreter) and an interpreter engine on one program share one
+   entry, so together they cost exactly one compile. *)
 let test_cache_shared_across_engine_kinds () =
   let p = Helpers.random_chain_program 424_203 in
   let h0, m0 = Engine.compile_cache_stats () in
@@ -632,7 +579,7 @@ let recursion =
     \  r1 = sub r0, 1\n  r2 = call @rec(r1) !site 0\n  ret r2\nbb2:\n  ret 7\n}\n"
 
 let test_call_depth_fault () =
-  let mkconfig () = ({ Engine.default_config with Engine.fuel = max_int }, None) in
+  let mkconfig () = { Engine.default_config with Engine.fuel = max_int } in
   let run depth =
     let calls = [ ("rec", [ depth ]) ] in
     let a = run_with ~backend:Engine.Interp ~mkconfig recursion calls in
@@ -676,6 +623,26 @@ let test_trace_link_events () =
 (* Backend selection plumbing                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A drill engine runs the interpreter whatever backend it asks for, and
+   links nothing: a traced drill run on a fresh program opens no
+   engine:link span, while a plain compiled run on the same program
+   afterwards does. *)
+let test_drill_engines_run_interp () =
+  let p = Helpers.random_call_program 777_003 in
+  List.iter
+    (fun backend ->
+      let config = drilled () in
+      Alcotest.(check bool) "drill engine reports interp" true
+        (Engine.backend (Engine.create ~config ?backend p) = Engine.Interp))
+    [ Some Engine.Compiled; Some Engine.Interp; None ];
+  let links mkconfig =
+    Trace.start ();
+    ignore (run_with ~backend:Engine.Compiled ~mkconfig p (Helpers.standard_calls p));
+    List.exists (fun (e : Trace.event) -> String.equal e.Trace.name "engine:link") (Trace.stop ())
+  in
+  Alcotest.(check bool) "a drill run links nothing" false (links drilled);
+  Alcotest.(check bool) "a plain compiled run links" true (links base)
+
 let test_backend_selection () =
   let p = Helpers.random_program 9_001 in
   let i = Engine.create ~backend:Engine.Interp p in
@@ -697,22 +664,16 @@ let suite =
     Helpers.qcheck_to_alcotest (differential "plain runs agree" base);
     Helpers.qcheck_to_alcotest (differential "hardened+rsb_refill runs agree" hardened);
     Helpers.qcheck_to_alcotest (differential "stateful fwd_override agrees" overridden);
-    Helpers.qcheck_to_alcotest (differential "speculation drills agree" drilled);
-    Helpers.qcheck_to_alcotest (differential "forged-PAC drills agree" forged);
     Helpers.qcheck_to_alcotest (differential "out-of-fuel agrees" starved);
     Helpers.qcheck_to_alcotest differential_wild;
     Helpers.qcheck_to_alcotest (differential_chain "superblock chains agree" base);
     Helpers.qcheck_to_alcotest
       (differential_chain "superblock chains agree hardened" hardened);
-    Helpers.qcheck_to_alcotest
-      (differential_chain "superblock chains agree drilled" drilled);
     Helpers.qcheck_to_alcotest differential_chain_linked;
     Helpers.qcheck_to_alcotest differential_chain_starved;
     Helpers.qcheck_to_alcotest (differential_calls "call-seam fusion agrees" base);
     Helpers.qcheck_to_alcotest
       (differential_calls "call-seam fusion agrees hardened" hardened);
-    Helpers.qcheck_to_alcotest
-      (differential_calls "call-seam fusion agrees drilled" drilled);
     Helpers.qcheck_to_alcotest differential_calls_starved;
     Alcotest.test_case "fault mid-superblock rolls back" `Quick
       test_fault_mid_superblock;
@@ -725,7 +686,6 @@ let suite =
     Alcotest.test_case "recursive callee never fuses" `Quick test_recursive_callee;
     Alcotest.test_case "lazy lowering deterministic across domains" `Quick
       test_lazy_lowering_deterministic_across_domains;
-    Alcotest.test_case "kernel attack drills agree" `Quick test_attack_drills;
     Alcotest.test_case "interleaved programs compile once" `Quick
       test_interleaved_compile_once;
     Alcotest.test_case "compile cache shared across engine kinds" `Quick
@@ -737,4 +697,6 @@ let suite =
       test_invalid_indices_rejected_at_create;
     Alcotest.test_case "call depth fault agrees" `Quick test_call_depth_fault;
     Alcotest.test_case "backend selection and names" `Quick test_backend_selection;
+    Alcotest.test_case "drill engines run the interpreter" `Quick
+      test_drill_engines_run_interp;
   ]

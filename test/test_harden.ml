@@ -194,6 +194,36 @@ let test_defenses_name () =
   Alcotest.(check string) "mixed families" "retpolines+fineibt"
     (Pass.defenses_name { Pass.no_defenses with Pass.retpolines = true; fineibt = true })
 
+(* Every one of the 64 flag sets reads back from its printed name, and
+   the short aliases name the same sets. *)
+let test_defenses_of_string () =
+  let bit i k = i land (1 lsl k) <> 0 in
+  for i = 0 to 63 do
+    let d =
+      {
+        Pass.retpolines = bit i 0;
+        ret_retpolines = bit i 1;
+        lvi = bit i 2;
+        fineibt = bit i 3;
+        pac = bit i 4;
+        coarse_cfi = bit i 5;
+      }
+    in
+    let name = Pass.defenses_name d in
+    Alcotest.(check bool) (name ^ " reads back") true (Pass.defenses_of_string name = Ok d)
+  done;
+  Alcotest.(check bool) "aliases" true
+    (Pass.defenses_of_string "retp+retret+lvi" = Ok Pass.all_defenses
+    && Pass.defenses_of_string "all"
+       = Pass.defenses_of_string "retpolines+ret-retpolines+lvi-cfi"
+    && Pass.defenses_of_string "fineibt+pac+coarse"
+       = Ok { Pass.no_defenses with Pass.fineibt = true; pac = true; coarse_cfi = true });
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (text ^ " rejected") true
+        (Pass.defenses_of_string text = Error (Printf.sprintf "unknown defense set %S" text)))
+    [ ""; "retpoline"; "fineibt+"; "+pac"; "lvi+bogus" ]
+
 let suite =
   [
     ("forward kinds", `Quick, test_forward_kinds);
@@ -211,4 +241,5 @@ let suite =
     ("footprint includes hardening bytes", `Quick, test_footprint_includes_ret_bytes);
     ("listings contain key instructions", `Quick, test_listings_contain_key_instructions);
     ("defense names", `Quick, test_defenses_name);
+    ("defense names read back", `Quick, test_defenses_of_string);
   ]

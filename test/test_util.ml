@@ -85,7 +85,7 @@ let matches_model ?hash (cap, ks) =
   List.for_all
     (fun k ->
       let computed = ref false in
-      let v = Memo.get memo k (fun () -> computed := true; k * 10) in
+      let v = Memo.get memo k (fun k' -> computed := true; k' * 10) in
       let hit, model' = model_get cap !model k in
       model := model';
       incr (if hit then hits else misses);
@@ -129,7 +129,7 @@ let test_memo_race_adopts () =
     (fun (leg, hash) ->
       let memo = Memo.create ~capacity:4 ?hash ~equal:String.equal () in
       let started = Atomic.make 0 in
-      let compute () =
+      let compute _ =
         Atomic.incr started;
         let deadline = Sys.time () +. 10.0 in
         while Atomic.get started < 2 && Sys.time () < deadline do
@@ -155,10 +155,10 @@ let test_memo_raising_compute () =
     (fun (leg, hash) ->
       let memo = Memo.create ~capacity:2 ?hash ~equal:Int.equal () in
       Alcotest.check_raises (leg ^ ": the exception escapes") Exit (fun () ->
-          ignore (Memo.get memo 1 (fun () -> raise Exit)));
+          ignore (Memo.get memo 1 (fun _ -> raise Exit)));
       Alcotest.(check bool) (leg ^ ": nothing recorded") false (Memo.mem memo 1);
-      Alcotest.(check int) (leg ^ ": the lock is free") 7 (Memo.get memo 1 (fun () -> 7));
-      Alcotest.(check int) (leg ^ ": the retry is recorded") 7 (Memo.get memo 1 (fun () -> 8));
+      Alcotest.(check int) (leg ^ ": the lock is free") 7 (Memo.get memo 1 (fun _ -> 7));
+      Alcotest.(check int) (leg ^ ": the retry is recorded") 7 (Memo.get memo 1 (fun _ -> 8));
       Alcotest.(check (pair int int)) (leg ^ ": two misses, one hit") (1, 2) (Memo.stats memo))
     [ ("unhashed", None); ("hashed", Some Hashtbl.hash) ]
 

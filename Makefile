@@ -21,9 +21,11 @@ test:
 # a pass-manager smoke run with inter-pass IR validation on (traced, so
 # the trace layer stays wired end to end), the same validation on the
 # paper-scale kernel, whose lax inlining grows syscall_entry to about
-# 2,000 blocks, an out-of-range pass option that pipeline must reject
-# with exit status 1 and a message naming the pass, the option and the
-# value, the on-disk profile round trip (profile, then optimize from the
+# 2,000 blocks, with its cleanup statistics pinned, the LLVM-default
+# inliner's bottom-up walk over the same kernel with its inlining and
+# cleanup statistics pinned, an out-of-range pass option that pipeline
+# must reject with exit status 1 and a message naming the pass, the
+# option and the value, the on-disk profile round trip (profile, then optimize from the
 # written file), the two call-edge hook consumers outside the collector
 # (trace, perf), a malformed profile that optimize must reject with exit
 # status 1 and a FILE:LINE message, the attack drills under a combined
@@ -40,7 +42,15 @@ check:
 	  --verify --trace $(SCRATCH)/smoke_trace.json
 	dune exec bin/pibe_cli.exe -- pipeline --scale 3 \
 	  --passes "icp(budget=99.999),inline(budget=99.9999,lax),cleanup,retpoline,ret-retpoline,lvi-cfi" \
-	  --verify
+	  --verify > $(SCRATCH)/lax3.txt
+	grep -qx '  cleanup: folded 159, branches 0, blocks removed 519, dead assigns 7838' \
+	  $(SCRATCH)/lax3.txt
+	dune exec bin/pibe_cli.exe -- pipeline --scale 3 \
+	  --passes "icp(budget=99.999),llvm-inline(budget=99.9),cleanup" --verify > $(SCRATCH)/llvm3.txt
+	grep -qx '  llvm-inline(budget=99.9): inlined 1051 sites (233233 weight; 137171 weight blocked by size)' \
+	  $(SCRATCH)/llvm3.txt
+	grep -qx '  cleanup: folded 153, branches 0, blocks removed 405, dead assigns 5576' \
+	  $(SCRATCH)/llvm3.txt
 	status=0; dune exec bin/pibe_cli.exe -- pipeline --scale 1 --passes "icp(max-targets=0)" \
 	  2> $(SCRATCH)/bad_spec.err || status=$$?; test $$status -eq 1
 	grep -qx 'invalid pipeline spec: pass icp: option max-targets must be at least 1, got "0"' \

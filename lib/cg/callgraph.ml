@@ -6,134 +6,230 @@ type direct_edge = {
   site : Types.site;
 }
 
+(* Every name the graph knows has a dense id: the program's functions in
+   layout order, then the callees outside the program in the order their
+   first call appears.  [ids] is the one name-to-id table; everything
+   after [build] walks ids. *)
 type t = {
-  nodes : string list;  (* layout order *)
-  out_edges : (string, direct_edge list) Hashtbl.t;  (* in block order *)
-  in_edges : (string, direct_edge list) Hashtbl.t;
-  icalls : (string, Types.site list) Hashtbl.t;
-  scc_of : (string, int) Hashtbl.t;  (* Tarjan component ids *)
-  scc_cyclic : (int, bool) Hashtbl.t;
+  ids : (string, int) Hashtbl.t;
+  names : string array;  (* by id *)
+  funcs : Types.func array;  (* the program's functions: ids below its length *)
+  out_edges : direct_edge list array;  (* by function id, in block order *)
+  callees : int array array;  (* by id: the callee ids of its out-edges, in order *)
+  cyclic : bool array;  (* by id: on a directed cycle of direct calls *)
+  (* [reaches]'s scratch: a node is visited when its mark is [epoch] *)
+  marks : int array;
+  stack : int array;
+  mutable epoch : int;
 }
 
-let get_list tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+(* Direct call edges of [f] in block order, built back to front. *)
+let call_edges (f : Types.func) =
+  let acc = ref [] in
+  for l = Array.length f.blocks - 1 downto 0 do
+    let insts = f.blocks.(l).insts in
+    for i = Array.length insts - 1 downto 0 do
+      match insts.(i) with
+      | Types.Call { site; callee; _ } -> acc := { caller = f.fname; callee; site } :: !acc
+      | Assign _ | Store _ | Observe _ | Icall _ | Asm_icall _ -> ()
+    done
+  done;
+  !acc
+
+(* Tarjan's strongly connected components, iterative: [frames] and
+   [next] hold the depth-first path and each frame's next out-edge, so a
+   deep call chain costs array slots, not host stack.  A component is
+   cyclic when it has two members or its one member calls itself. *)
+let cyclic_nodes callees =
+  let n = Array.length callees in
+  let index = Array.make n (-1) and low = Array.make n 0 and on_stack = Array.make n false in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frames = Array.make n 0 and next = Array.make n 0 and fp = ref 0 in
+  let cyclic = Array.make n false and counter = ref 0 in
+  let enter v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
+    incr counter;
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frames.(!fp) <- v;
+    next.(!fp) <- 0;
+    incr fp
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then enter root;
+    while !fp > 0 do
+      let v = frames.(!fp - 1) and k = next.(!fp - 1) in
+      let cs = callees.(v) in
+      if k < Array.length cs then begin
+        next.(!fp - 1) <- k + 1;
+        let w = cs.(k) in
+        if index.(w) < 0 then enter w
+        else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
+      end
+      else begin
+        decr fp;
+        if !fp > 0 then begin
+          let u = frames.(!fp - 1) in
+          if low.(v) < low.(u) then low.(u) <- low.(v)
+        end;
+        if low.(v) = index.(v) then begin
+          let top = !sp in
+          sp := top - 1;
+          while stack.(!sp) <> v do
+            decr sp
+          done;
+          for i = !sp to top - 1 do
+            on_stack.(stack.(i)) <- false
+          done;
+          if top - !sp > 1 || Array.mem v cs then
+            for i = !sp to top - 1 do
+              cyclic.(stack.(i)) <- true
+            done
+        end
+      end
+    done
+  done;
+  cyclic
 
 let build p =
-  let out_edges = Hashtbl.create 256 in
-  let in_edges = Hashtbl.create 256 in
-  let icalls = Hashtbl.create 256 in
-  let nodes = Program.layout_order p in
-  Program.iter_funcs p (fun f ->
-      let outs =
-        List.map
-          (fun (site, callee) -> { caller = f.Types.fname; callee; site })
-          (Func.call_sites f)
-      in
-      Hashtbl.replace out_edges f.Types.fname outs;
-      List.iter
-        (fun e -> Hashtbl.replace in_edges e.callee (e :: get_list in_edges e.callee))
-        outs;
-      Hashtbl.replace icalls f.Types.fname (Func.icall_sites f));
-  (* Tarjan SCC over direct edges (iterative to survive deep kernels). *)
-  let index = Hashtbl.create 256 in
-  let lowlink = Hashtbl.create 256 in
-  let on_stack = Hashtbl.create 256 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let scc_of = Hashtbl.create 256 in
-  let scc_cyclic = Hashtbl.create 64 in
-  let next_scc = ref 0 in
-  let self_loop name =
-    List.exists (fun e -> String.equal e.callee name) (get_list out_edges name)
+  let funcs = Array.of_list (List.map (Program.find p) (Program.layout_order p)) in
+  let nfuncs = Array.length funcs in
+  let ids = Hashtbl.create nfuncs in
+  Array.iteri (fun i (f : Types.func) -> Hashtbl.replace ids f.fname i) funcs;
+  let outside = ref [] and count = ref nfuncs in
+  let id_of name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None ->
+      let i = !count in
+      incr count;
+      Hashtbl.add ids name i;
+      outside := name :: !outside;
+      i
   in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
-    List.iter
-      (fun e ->
-        let w = e.callee in
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Option.value ~default:false (Hashtbl.find_opt on_stack w) then
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (get_list out_edges v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let id = !next_scc in
-      incr next_scc;
-      let members = ref [] in
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.replace on_stack w false;
-          Hashtbl.replace scc_of w id;
-          members := w :: !members;
-          if not (String.equal w v) then pop ()
-      in
-      pop ();
-      let cyclic =
-        match !members with
-        | [ single ] -> self_loop single
-        | _ -> true
-      in
-      Hashtbl.replace scc_cyclic id cyclic
-    end
+  let out_edges = Array.map call_edges funcs in
+  let own =
+    Array.map
+      (fun es ->
+        let cs = Array.make (List.length es) 0 in
+        List.iteri (fun k e -> cs.(k) <- id_of e.callee) es;
+        cs)
+      out_edges
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
-  { nodes; out_edges; in_edges; icalls; scc_of; scc_cyclic }
+  let n = !count in
+  let callees = Array.init n (fun i -> if i < nfuncs then own.(i) else [||]) in
+  let names =
+    Array.append
+      (Array.map (fun (f : Types.func) -> f.fname) funcs)
+      (Array.of_list (List.rev !outside))
+  in
+  {
+    ids;
+    names;
+    funcs;
+    out_edges;
+    callees;
+    cyclic = cyclic_nodes callees;
+    marks = Array.make n 0;
+    stack = Array.make n 0;
+    epoch = 0;
+  }
 
-let direct_edges t = List.concat_map (fun n -> get_list t.out_edges n) t.nodes
-let callees_of t name = get_list t.out_edges name
-let callers_of t name = List.rev (get_list t.in_edges name)
-let icall_sites_of t name = get_list t.icalls name
+let func_id t name =
+  match Hashtbl.find_opt t.ids name with
+  | Some i when i < Array.length t.funcs -> Some i
+  | Some _ | None -> None
+
+let direct_edges t = List.concat (Array.to_list t.out_edges)
+
+let callees_of t name =
+  match func_id t name with
+  | Some i -> t.out_edges.(i)
+  | None -> []
+
+let callers_of t name = List.filter (fun e -> String.equal e.callee name) (direct_edges t)
+
+let icall_sites_of t name =
+  match func_id t name with
+  | Some i -> Func.icall_sites t.funcs.(i)
+  | None -> []
 
 let in_recursive_cycle t name =
-  match Hashtbl.find_opt t.scc_of name with
+  match Hashtbl.find_opt t.ids name with
+  | Some i -> t.cyclic.(i)
   | None -> false
-  | Some id -> Option.value ~default:false (Hashtbl.find_opt t.scc_cyclic id)
 
 let reaches t ~src ~dst =
-  let seen = Hashtbl.create 64 in
-  let rec go v =
-    if String.equal v dst then true
-    else if Hashtbl.mem seen v then false
-    else begin
-      Hashtbl.replace seen v ();
-      List.exists (fun e -> go e.callee) (get_list t.out_edges v)
-    end
-  in
-  go src
+  String.equal src dst
+  ||
+  match (Hashtbl.find_opt t.ids src, Hashtbl.find_opt t.ids dst) with
+  | Some s, Some d ->
+    t.epoch <- t.epoch + 1;
+    let epoch = t.epoch and marks = t.marks and stack = t.stack in
+    marks.(s) <- epoch;
+    stack.(0) <- s;
+    let sp = ref 1 and found = ref false in
+    while (not !found) && !sp > 0 do
+      decr sp;
+      let cs = t.callees.(stack.(!sp)) in
+      for k = 0 to Array.length cs - 1 do
+        let w = cs.(k) in
+        if w = d then found := true
+        else if marks.(w) <> epoch then begin
+          marks.(w) <- epoch;
+          stack.(!sp) <- w;
+          incr sp
+        end
+      done
+    done;
+    !found
+  | _ -> false
 
+(* Post-order depth-first walk over direct edges from each function in
+   layout order; cycles are broken by the visited set. *)
 let bottom_up_order t =
-  (* Post-order DFS over direct edges; cycles broken by the visited set. *)
-  let seen = Hashtbl.create 256 in
+  let n = Array.length t.names in
+  let seen = Array.make n false in
+  let frames = Array.make n 0 and next = Array.make n 0 and fp = ref 0 in
   let order = ref [] in
-  let rec go v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.replace seen v ();
-      List.iter (fun e -> go e.callee) (get_list t.out_edges v);
-      order := v :: !order
-    end
-  in
-  List.iter go t.nodes;
+  for root = 0 to Array.length t.funcs - 1 do
+    if not seen.(root) then begin
+      seen.(root) <- true;
+      frames.(0) <- root;
+      next.(0) <- 0;
+      fp := 1
+    end;
+    while !fp > 0 do
+      let v = frames.(!fp - 1) and k = next.(!fp - 1) in
+      let cs = t.callees.(v) in
+      if k < Array.length cs then begin
+        next.(!fp - 1) <- k + 1;
+        let w = cs.(k) in
+        if not seen.(w) then begin
+          seen.(w) <- true;
+          frames.(!fp) <- w;
+          next.(!fp) <- 0;
+          incr fp
+        end
+      end
+      else begin
+        decr fp;
+        order := t.names.(v) :: !order
+      end
+    done
+  done;
   List.rev !order
 
 let to_dot t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph callgraph {\n";
-  List.iter
-    (fun n ->
-      List.iter
-        (fun e ->
-          Buffer.add_string buf
-            (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"s%d\"];\n" e.caller e.callee
-               e.site.Types.site_id))
-        (get_list t.out_edges n))
-    t.nodes;
+  Array.iter
+    (List.iter (fun e ->
+         Buffer.add_string buf
+           (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"s%d\"];\n" e.caller e.callee
+              e.site.Types.site_id)))
+    t.out_edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

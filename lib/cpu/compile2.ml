@@ -45,9 +45,12 @@
     dispatcher at all.  Inside a linked function every label is again a
     trampoline that lowers the trace headed there on its first dispatch,
     so only the heads a workload actually reaches ever pay for closure
-    construction and for their copy of a duplicated tail.  Lowering is pure and emits nothing observable (its trace
-    events are "sched"-category), so which engine triggers it, and when,
-    is invisible in cycles, counters, traces or errors.
+    construction and for their copy of a duplicated tail.  A function's
+    entry-live zero set is likewise computed on the first call path that
+    needs it, not by [compile].  Lowering is pure and emits nothing
+    observable (its trace events are "sched"-category), so which engine
+    triggers it, and when, is invisible in cycles, counters, traces or
+    errors.
 
     Each function is lowered once, in one variant with no taint anywhere
     on its path: an engine whose config carries a speculation drill
@@ -107,10 +110,11 @@ type pbody = Machine.t -> unit
 
 type cfunc2 = {
   c2 : cfunc;
-  zeroset : int array;
+  mutable zeroset : int array;
       (* registers some path from entry may read before writing, sorted;
          the only slots of a pooled frame whose initial 0 is observable —
-         see [zeroset_of] *)
+         see [zeroset_of].  [no_zeroset] until first needed, then
+         written once under [prog.link_lock] (see [zeroset]) *)
   mutable fexec : fexec;
       (* what call closures invoke: a lazy-linking trampoline until the
          first call, then the linked trace-lowered body *)
@@ -120,10 +124,14 @@ type cfunc2 = {
 type prog = {
   c2by_id : cfunc2 array;
   mem_len : int;  (* length of every engine's global memory, for baked bounds *)
-  link_lock : Mutex.t;  (* serializes per-function lazy lowering *)
+  link_lock : Mutex.t;  (* serializes per-function lazy lowering and zero sets *)
 }
 
 let unlinked : fexec = fun _ -> assert false
+
+(* Physically distinct from every computed zero set, the empty one
+   included. *)
+let no_zeroset : int array = [| -1 |]
 
 (* --------------------- entry-live zero sets -------------------- *)
 
@@ -133,12 +141,12 @@ let unlinked : fexec = fun _ -> assert false
    are those some path from the entry block may READ before writing —
    everything else is dead on entry and its stale contents can never
    flow into cycles, memory or traces.  [zeroset_of] computes that set
-   once per function at compile time (a standard backward may-liveness
-   fixpoint over the compiled blocks, bit-packed 32 registers per word),
-   and the call paths zero exactly it.  The big straight-line kernel functions have register
-   files two orders of magnitude larger than their entry-live set, which
-   makes this the difference between ~800 stores and ~4 per activation
-   of the hottest callees. *)
+   once per function, on the first call path that needs it (a standard
+   backward may-liveness fixpoint over the compiled blocks), and the
+   call paths zero exactly it.  The big straight-line kernel functions
+   have register files two orders of magnitude larger than their
+   entry-live set, which makes this the difference between ~800 stores
+   and ~4 per activation of the hottest callees. *)
 let zeroset_of (cf : cfunc) : int array =
   let module RS = Set.Make (Int) in
   let blocks = cf.cblocks in
@@ -237,6 +245,21 @@ let zeroset_of (cf : cfunc) : int array =
       end
   done;
   Array.of_list (RS.elements live_in.(cf.f.entry))
+
+(* The zero set of [c2f], computed on first need: by the direct call
+   closures that reach it, the indirect calls that land on it, and the
+   engine entry.  Most functions of a program are never called, so
+   [compile] computes none.  Published like [fexec]: written once under
+   [link_lock] (double-checked), and a racing reader either sees
+   [no_zeroset] and takes the lock, or sees the finished array. *)
+let publish_zeroset (p : prog) (c2f : cfunc2) =
+  Mutex.protect p.link_lock (fun () ->
+      if c2f.zeroset == no_zeroset then c2f.zeroset <- zeroset_of c2f.c2;
+      c2f.zeroset)
+
+let[@inline] zeroset (p : prog) (c2f : cfunc2) =
+  let zs = c2f.zeroset in
+  if zs != no_zeroset then zs else publish_zeroset p c2f
 
 (* Zero the zeroset slots at index >= [n] (the written argument prefix)
    of a pooled frame. *)
@@ -640,18 +663,18 @@ let dst_reg = function None -> -1 | Some r -> r
    static argument count lets the entry-live zeroing be filtered at
    compile time: only zeroset slots past the written prefix survive
    into [zs_tail]. *)
-let direct_call_frame (callee2 : cfunc2) (args : operand array) :
+let direct_call_frame p (callee2 : cfunc2) (args : operand array) :
     (int array -> int) array * int array =
   let callee_cf = callee2.c2 in
   let argv = Array.map cop args in
   let n = min callee_cf.f.params (Array.length argv) in
   let zs_tail =
-    Array.of_list (List.filter (fun r -> r >= n) (Array.to_list callee2.zeroset))
+    Array.of_list (List.filter (fun r -> r >= n) (Array.to_list (zeroset p callee2)))
   in
   let argv = if Array.length argv > n then Array.sub argv 0 n else argv in
   (argv, zs_tail)
 
-let ccall c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
+let ccall p (caller : cfunc) ~dst ~callee_name ~callee_id
     ~(args : operand array) ~site : iexec =
   let caller_id = caller.id and site_id = site.site_id in
   if callee_id < 0 then
@@ -664,9 +687,9 @@ let ccall c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
       charge t (Cost.direct_call + t.cfg.extra_call_cycles);
       raise (Runtime_error ("call to unknown function @" ^ callee_name))
   else begin
-    let callee2 = c2by_id.(callee_id) in
+    let callee2 = p.c2by_id.(callee_id) in
     let callee_cf = callee2.c2 in
-    let argv, zs_tail = direct_call_frame callee2 args in
+    let argv, zs_tail = direct_call_frame p callee2 args in
     let nargs = Array.length argv in
     let dst_r = dst_reg dst in
     fun t ->
@@ -702,9 +725,9 @@ let ccall c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
         | None -> Array.unsafe_set regs dst_r 0
   end
 
-let cicall ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~site
-    ~slot : iexec =
-  let caller_id = caller.id and site_id = site.site_id in
+let cicall ~asm p (caller : cfunc) ~dst ~fptr ~(args : operand array) ~site ~slot :
+    iexec =
+  let caller_id = caller.id and site_id = site.site_id and c2by_id = p.c2by_id in
   let ofp = cop fptr in
   let argv = Array.map cop args in
   let nargs = Array.length argv in
@@ -734,7 +757,7 @@ let cicall ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~sit
     for i = 0 to n - 1 do
       Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
     done;
-    zero_tail callee2.zeroset n callee_regs;
+    zero_tail (zeroset p callee2) n callee_regs;
     t.cur_regs <- callee_regs;
     t.cur_depth <- depth + 1;
     t.cur_ret_to <- caller_id;
@@ -747,14 +770,14 @@ let cicall ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array) ~sit
       | Some x -> Array.unsafe_set regs dst_r x
       | None -> Array.unsafe_set regs dst_r 0
 
-let ccomplex c2by_id (caller : cfunc) (i : Machine.cinst) : iexec =
+let ccomplex p (caller : cfunc) (i : Machine.cinst) : iexec =
   match i with
   | CCall { dst; callee; callee_id; args; site } ->
-    ccall c2by_id caller ~dst ~callee_name:callee ~callee_id ~args ~site
+    ccall p caller ~dst ~callee_name:callee ~callee_id ~args ~site
   | CIcall { dst; fptr; args; site; slot } ->
-    cicall ~asm:false c2by_id caller ~dst ~fptr ~args ~site ~slot
+    cicall ~asm:false p caller ~dst ~fptr ~args ~site ~slot
   | CAsm_icall { fptr; site } ->
-    cicall ~asm:true c2by_id caller ~dst:None ~fptr ~args:[||] ~site ~slot:(-1)
+    cicall ~asm:true p caller ~dst:None ~fptr ~args:[||] ~site ~slot:(-1)
   | CAssign _ | CStore _ | CObserve _ -> assert false
 
 (* ----------------------- chain scanning ------------------------ *)
@@ -883,7 +906,7 @@ let lower_chain ?stats (p : prog) (cf : cfunc) bexecs
       (List.map
          (function
            | `Seg items -> compile_segment ~mem_len ?stats fname items
-           | `Cx i -> ccomplex p.c2by_id cf i)
+           | `Cx i -> ccomplex p cf i)
          chunk_list)
   in
   let term = cterm bexecs cf last_label last_term in
@@ -1000,20 +1023,20 @@ let lower_fexec ?stats (p : prog) (c2f : cfunc2) : fexec =
 (* ------------------------ lazy linking ------------------------- *)
 
 (* Functions are linked lazily, on the first call that reaches them
-   (double-checked under [link_lock]): compile itself is one cheap
-   liveness pass, and only the functions a workload actually executes
+   (double-checked under [link_lock]): compile itself only installs the
+   trampolines, and only the functions a workload actually executes
    ever pay for closure construction.  That matters for
    compile-dominated workloads: short runs over many images, and the
    online loop's fresh controller program every window.
 
    Call closures fetch their callee's [fexec] field at call time, so a
    linked body is picked up transparently; the only cross-function data
-   baked at construction time is the callee's [zeroset], which [compile]
-   computes eagerly for exactly that reason.  The [fexec] field and the
-   [linked] flag are only written under the lock.  A racing domain
-   either still sees a trampoline — and then synchronizes on the lock
-   before re-reading the field — or sees the published closure; unlinked
-   bodies are never reachable. *)
+   baked at construction time is the callee's zero set, which the direct
+   call closure computes through [zeroset] if no caller has yet.  The
+   [fexec] field and the [linked] flag are only written under the lock.
+   A racing domain either still sees a trampoline — and then
+   synchronizes on the lock before re-reading the field — or sees the
+   published closure; unlinked bodies are never reachable. *)
 
 (* The [fused-superblocks] / [segment-coverage] statistics are gathered
    only while tracing: the static [trace_of] scan over every label would
@@ -1041,7 +1064,7 @@ let link_now p c2f =
 let compile (cv : Machine.compiled) ~mem_len : prog =
   let c2by_id =
     Array.map
-      (fun cf -> { c2 = cf; zeroset = zeroset_of cf; fexec = unlinked; linked = false })
+      (fun cf -> { c2 = cf; zeroset = no_zeroset; fexec = unlinked; linked = false })
       cv.cby_id
   in
   let p = { c2by_id; mem_len; link_lock = Mutex.create () } in
@@ -1070,7 +1093,7 @@ let entry (p : prog) : Machine.t -> cfunc -> int list -> int option =
     | _ -> i
   in
   let n = write 0 args in
-  zero_tail c2.zeroset n regs;
+  zero_tail (zeroset p c2) n regs;
   publish_regs t regs;
   t.cur_depth <- 0;
   t.cur_ret_to <- top_id;

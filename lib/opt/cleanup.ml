@@ -19,129 +19,241 @@ let add_stats a b =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Operand walks and register slots.                                   *)
+(* ------------------------------------------------------------------ *)
+
+let iter_operand g = function
+  | Imm _ -> ()
+  | Reg r -> g r
+
+let rec iter_operands g = function
+  | [] -> ()
+  | o :: rest ->
+    iter_operand g o;
+    iter_operands g rest
+
+let iter_inst_uses g = function
+  | Assign (_, Const _) -> ()
+  | Assign (_, (Move o | Load o)) | Observe o | Asm_icall { fptr = o; _ } -> iter_operand g o
+  | Assign (_, Binop (_, a, b)) | Store (a, b) ->
+    iter_operand g a;
+    iter_operand g b
+  | Call { args; _ } -> iter_operands g args
+  | Icall { fptr; args; _ } ->
+    iter_operand g fptr;
+    iter_operands g args
+
+let iter_inst_def g = function
+  | Assign (d, _) | Call { dst = Some d; _ } | Icall { dst = Some d; _ } -> g d
+  | Call { dst = None; _ } | Icall { dst = None; _ } | Asm_icall _ | Store _ | Observe _ -> ()
+
+let iter_term_uses g = function
+  | Jmp _ | Ret None -> ()
+  | Br (o, _, _) | Switch { scrutinee = o; _ } | Ret (Some o) -> iter_operand g o
+
+(* Register slots, the index of every per-register array below.
+   Validated IR names registers densely from 0, so a name is its own
+   slot.  A body naming a negative register (which the validator
+   rejects) or one at twice its count of register mentions or beyond (a
+   very sparse body) is renumbered through a table instead, so no name
+   can size an array beyond the body.  Cleanup never names a register
+   its input does not, so the slots of a body serve every body cleanup
+   derives from it. *)
+let slots f =
+  let lo = ref 0 and hi = ref (-1) and mentions = ref 0 in
+  let note r =
+    incr mentions;
+    if r < !lo then lo := r;
+    if r > !hi then hi := r
+  in
+  let note_inst i =
+    iter_inst_uses note i;
+    iter_inst_def note i
+  in
+  Array.iter
+    (fun b ->
+      Array.iter note_inst b.insts;
+      iter_term_uses note b.term)
+    f.blocks;
+  if !lo >= 0 && !hi < 2 * !mentions then (!hi + 1, Fun.id)
+  else
+    let slots = Hashtbl.create 64 in
+    ( !mentions,
+      fun r ->
+        match Hashtbl.find_opt slots r with
+        | Some s -> s
+        | None ->
+          let s = Hashtbl.length slots in
+          Hashtbl.add slots r s;
+          s )
+
+(* ------------------------------------------------------------------ *)
 (* Block-local constant / copy propagation with folding.               *)
 (* ------------------------------------------------------------------ *)
 
-type binding =
-  | Known of int
-  | Copy of reg
-
 (* All rewrites below preserve physical identity when nothing changes:
    an untouched instruction comes back [==] to the input, an untouched
-   block comes back as the same record, and a converged [run_once]
-   returns the function it was given.  That lets the fixpoint check in
-   [run_func_with_stats] test [==] first and skip the structural compare,
-   which (unlike [compare]) does not stop at physically equal values and
-   would walk the whole converged function; and it stops every pass from
-   reallocating an identical copy of every function it merely inspects.
-   The produced values are structurally identical either way, so pass
-   output and stats do not change. *)
-
-let rec map_shared f = function
-  | [] -> []
-  | x :: rest as l ->
-    let x' = f x in
-    let rest' = map_shared f rest in
-    if x' == x && rest' == rest then l else x' :: rest'
+   block comes back as the same record, and a function none of whose
+   blocks change comes back as itself.  That is how the round loop in
+   [run_func_with_stats] tells that propagation changed nothing, and it
+   stops every pass from reallocating an identical copy of every
+   function it merely inspects. *)
 
 let array_shared a' a =
   let n = Array.length a' in
   let rec same i = i >= n || (Array.unsafe_get a' i == Array.unsafe_get a i && same (i + 1)) in
   if Array.length a = n && same 0 then a else a'
 
-let propagate_block b =
-  let env : (reg, binding) Hashtbl.t = Hashtbl.create 16 in
-  let folded = ref 0 in
-  let resolve_operand o =
-    match o with
-    | Imm _ -> o
-    | Reg r -> (
-      match Hashtbl.find_opt env r with
-      | Some (Known c) ->
-        incr folded;
-        Imm c
-      | Some (Copy r') ->
-        incr folded;
-        Reg r'
-      | None -> o)
-  in
-  (* Reassigning [d] kills both its binding and any copies of it. *)
-  let kill d =
-    Hashtbl.remove env d;
-    let stale =
-      Hashtbl.fold
-        (fun k v acc -> match v with Copy r when r = d -> k :: acc | _ -> acc)
-        env []
-    in
-    List.iter (Hashtbl.remove env) stale
-  in
-  let rewrite_expr e =
-    match e with
-    | Const _ -> e
-    | Move (Imm c) -> Const c
-    | Move (Reg _ as o) -> (
-      match resolve_operand o with
-      | Imm c -> Const c
-      | Reg _ as o' -> if o' == o then e else Move o')
-    | Binop (op, a, b) -> (
-      match (resolve_operand a, resolve_operand b) with
-      | Imm x, Imm y ->
-        incr folded;
-        Const (eval_binop op x y)
-      | a', b' -> if a' == a && b' == b then e else Binop (op, a', b'))
-    | Load o ->
-      let o' = resolve_operand o in
-      if o' == o then e else Load o'
-  in
-  let rewrite_inst i =
-    match i with
-    | Assign (d, e) ->
-      let e' = rewrite_expr e in
-      kill d;
+(* The bindings of the block under propagation, one entry per register
+   slot, made once per function and reused by every block and round.
+   Every assignment to a register ticks [clock] and stamps its slot's
+   [defined] with it, and [binding] holds what that assignment made the
+   register: a constant ([Imm]), a copy of another register ([Reg]), or
+   nothing ([unbound]).  A slot whose stamp predates [start], the clock
+   when the current block began, is unbound, so starting a block clears
+   nothing.  A copy is valid while its source has not been assigned
+   since, so reassigning a register retires every copy of it at once:
+   a kill costs O(1), not a search of the bindings for its copies. *)
+type env = {
+  slot : reg -> int;
+  defined : int array;
+  binding : operand array;
+  mutable clock : int;
+  mutable start : int;
+  mutable folded : int;
+  mutable branches : int;
+}
+
+(* Physically distinct from every binding: constants are bound as fresh
+   [Imm] values. *)
+let unbound = Imm 0
+
+let env_of (size, slot) =
+  {
+    slot;
+    defined = Array.make size 0;
+    binding = Array.make size unbound;
+    clock = 0;
+    start = 0;
+    folded = 0;
+    branches = 0;
+  }
+
+let resolve env o =
+  match o with
+  | Imm _ -> o
+  | Reg r -> (
+    let s = env.slot r in
+    let t = env.defined.(s) in
+    if t <= env.start then o
+    else
+      match env.binding.(s) with
+      | Imm _ as c when c != unbound ->
+        env.folded <- env.folded + 1;
+        c
+      | Reg src as c when env.defined.(env.slot src) < t ->
+        env.folded <- env.folded + 1;
+        c
+      | Imm _ | Reg _ -> o)
+
+let rec resolve_list env = function
+  | [] -> []
+  | o :: rest as l ->
+    let o' = resolve env o in
+    let rest' = resolve_list env rest in
+    if o' == o && rest' == rest then l else o' :: rest'
+
+(* Records an assignment to [d] that binds it to [b]. *)
+let assign env d b =
+  let s = env.slot d in
+  env.clock <- env.clock + 1;
+  env.defined.(s) <- env.clock;
+  env.binding.(s) <- b
+
+let rewrite_expr env e =
+  match e with
+  | Const _ -> e
+  | Move (Imm c) -> Const c
+  | Move (Reg _ as o) -> (
+    match resolve env o with
+    | Imm c -> Const c
+    | Reg _ as o' -> if o' == o then e else Move o')
+  | Binop (op, a, b) -> (
+    match (resolve env a, resolve env b) with
+    | Imm x, Imm y ->
+      env.folded <- env.folded + 1;
+      Const (eval_binop op x y)
+    | a', b' -> if a' == a && b' == b then e else Binop (op, a', b'))
+  | Load o ->
+    let o' = resolve env o in
+    if o' == o then e else Load o'
+
+let rewrite_inst env i =
+  match i with
+  | Assign (d, e) ->
+    let e' = rewrite_expr env e in
+    (* a register copied to itself stays unbound: resolving it would
+       only rename it to itself *)
+    assign env d
       (match e' with
-      | Const c -> Hashtbl.replace env d (Known c)
-      | Move (Reg s) -> Hashtbl.replace env d (Copy s)
-      | Move (Imm _) | Binop _ | Load _ -> ());
-      if e' == e then i else Assign (d, e')
-    | Store (a, v) ->
-      let a' = resolve_operand a and v' = resolve_operand v in
-      if a' == a && v' == v then i else Store (a', v')
-    | Observe v ->
-      let v' = resolve_operand v in
-      if v' == v then i else Observe v'
-    | Call c ->
-      let args' = map_shared resolve_operand c.args in
-      let i' = if args' == c.args then i else Call { c with args = args' } in
-      Option.iter kill c.dst;
-      i'
-    | Icall c ->
-      let fptr' = resolve_operand c.fptr in
-      let args' = map_shared resolve_operand c.args in
-      let i' =
-        if fptr' == c.fptr && args' == c.args then i
-        else Icall { c with fptr = fptr'; args = args' }
-      in
-      Option.iter kill c.dst;
-      i'
-    | Asm_icall c ->
-      let fptr' = resolve_operand c.fptr in
-      if fptr' == c.fptr then i else Asm_icall { c with fptr = fptr' }
-  in
-  let insts = array_shared (Array.map rewrite_inst b.insts) b.insts in
-  let branches_folded = ref 0 in
+      | Const c -> Imm c
+      | Move (Reg r as o) when r <> d -> o
+      | Move _ | Binop _ | Load _ -> unbound);
+    if e' == e then i else Assign (d, e')
+  | Store (a, v) ->
+    let a' = resolve env a and v' = resolve env v in
+    if a' == a && v' == v then i else Store (a', v')
+  | Observe v ->
+    let v' = resolve env v in
+    if v' == v then i else Observe v'
+  | Call c ->
+    let args' = resolve_list env c.args in
+    let i' = if args' == c.args then i else Call { c with args = args' } in
+    (match c.dst with Some d -> assign env d unbound | None -> ());
+    i'
+  | Icall c ->
+    let fptr' = resolve env c.fptr in
+    let args' = resolve_list env c.args in
+    let i' =
+      if fptr' == c.fptr && args' == c.args then i
+      else Icall { c with fptr = fptr'; args = args' }
+    in
+    (match c.dst with Some d -> assign env d unbound | None -> ());
+    i'
+  | Asm_icall c ->
+    let fptr' = resolve env c.fptr in
+    if fptr' == c.fptr then i else Asm_icall { c with fptr = fptr' }
+
+(* One pass over one block.  Every operand it leaves is either an
+   immediate or a register unbound at that point (a copy's source is
+   unbound when the copy is made, and binding it again first kills it),
+   so a second pass over its result changes nothing: a block needs
+   propagating again only once something else rewrote its body. *)
+let propagate_block env b =
+  env.start <- env.clock;
+  let src = b.insts in
+  let insts = ref src in
+  for i = 0 to Array.length src - 1 do
+    let x = src.(i) in
+    let x' = rewrite_inst env x in
+    if x' != x then begin
+      if !insts == src then insts := Array.copy src;
+      !insts.(i) <- x'
+    end
+  done;
   let term =
     match b.term with
     | Jmp _ as t -> t
     | Br (c, l1, l2) as t -> (
-      match resolve_operand c with
+      match resolve env c with
       | Imm v ->
-        incr branches_folded;
+        env.branches <- env.branches + 1;
         Jmp (if v <> 0 then l1 else l2)
       | Reg _ as c' -> if c' == c then t else Br (c', l1, l2))
     | Switch s as t -> (
-      match resolve_operand s.scrutinee with
+      match resolve env s.scrutinee with
       | Imm v ->
-        incr branches_folded;
+        env.branches <- env.branches + 1;
         let target =
           match Array.find_opt (fun (case, _) -> case = v) s.cases with
           | Some (_, l) -> l
@@ -151,11 +263,28 @@ let propagate_block b =
       | Reg _ as sc -> if sc == s.scrutinee then t else Switch { s with scrutinee = sc })
     | Ret None as t -> t
     | Ret (Some v) as t ->
-      let v' = resolve_operand v in
+      let v' = resolve env v in
       if v' == v then t else Ret (Some v')
   in
-  let b' = if insts == b.insts && term == b.term then b else { insts; term } in
-  (b', !folded, !branches_folded)
+  if !insts == src && term == b.term then b else { insts = !insts; term }
+
+(* Propagates every block of [f] that is not physically the block at its
+   label in [prev] (every block when there is no [prev]). *)
+let propagate env ~prev f =
+  let blocks = f.blocks in
+  let out = ref blocks in
+  for l = 0 to Array.length blocks - 1 do
+    let b = blocks.(l) in
+    let dirty = match prev with None -> true | Some p -> b != p.(l) in
+    if dirty then begin
+      let b' = propagate_block env b in
+      if b' != b then begin
+        if !out == blocks then out := Array.copy blocks;
+        !out.(l) <- b'
+      end
+    end
+  done;
+  if !out == blocks then f else { f with blocks = !out }
 
 (* ------------------------------------------------------------------ *)
 (* Jump threading + unreachable-block removal (joint label rewrite).   *)
@@ -237,35 +366,6 @@ let thread_and_compact f =
 (* Sparse liveness + dead pure-assignment elimination.                 *)
 (* ------------------------------------------------------------------ *)
 
-let iter_operand g = function
-  | Imm _ -> ()
-  | Reg r -> g r
-
-let rec iter_operands g = function
-  | [] -> ()
-  | o :: rest ->
-    iter_operand g o;
-    iter_operands g rest
-
-let iter_inst_uses g = function
-  | Assign (_, Const _) -> ()
-  | Assign (_, (Move o | Load o)) | Observe o | Asm_icall { fptr = o; _ } -> iter_operand g o
-  | Assign (_, Binop (_, a, b)) | Store (a, b) ->
-    iter_operand g a;
-    iter_operand g b
-  | Call { args; _ } -> iter_operands g args
-  | Icall { fptr; args; _ } ->
-    iter_operand g fptr;
-    iter_operands g args
-
-let iter_inst_def g = function
-  | Assign (d, _) | Call { dst = Some d; _ } | Icall { dst = Some d; _ } -> g d
-  | Call { dst = None; _ } | Icall { dst = None; _ } | Asm_icall _ | Store _ | Observe _ -> ()
-
-let iter_term_uses g = function
-  | Jmp _ | Ret None -> ()
-  | Br (o, _, _) | Switch { scrutinee = o; _ } | Ret (Some o) -> iter_operand g o
-
 (* Liveness is solved per register, not per block.  A register is live
    out of a block iff a path from one of its successors reads it before
    anything writes it, so a backward walk from the blocks that read it
@@ -274,44 +374,21 @@ let iter_term_uses g = function
    only asks about a block's own writes, so the writers are all the walk
    records.  The cost is the size of the live ranges, where a per-block
    set dataflow rescans a block and merges whole sets on every worklist
-   visit; both compute the same least fixpoint.  The closures below are
-   made once per call, not per block or register, and read the block or
-   slot at hand from [cur]. *)
-let eliminate_dead f =
+   visit; both compute the same least fixpoint.  The closures the scans,
+   walks and sweeps use are made once per call, not per block,
+   instruction or register, and read the block or slot at hand from
+   refs.
+
+   With [fixpoint], the step is repeated until nothing more is dead, but
+   only where a removal can change the answer.  Removing a dead write
+   changes no register's liveness, and a removed read can shrink only
+   its own register's.  So a register that lost a read in a block it
+   was read first in is re-walked from the blocks that still read it
+   first, and only its writers it stopped being live out of are swept
+   again.  Deadness only grows as reads disappear, so any order of
+   removals ends where iterating the whole step does. *)
+let dead_core ~fixpoint (size, slot) f =
   let n = Array.length f.blocks in
-  (* Register slots.  Validated IR names registers densely from 0, so a
-     name is its own slot.  A body naming a negative register (which the
-     validator rejects) or one at twice its count of register mentions
-     or beyond (a very sparse body) is renumbered through a table
-     instead, so no name can size an array beyond the body. *)
-  let lo = ref 0 and hi = ref (-1) and mentions = ref 0 in
-  let note r =
-    incr mentions;
-    if r < !lo then lo := r;
-    if r > !hi then hi := r
-  in
-  let note_inst i =
-    iter_inst_uses note i;
-    iter_inst_def note i
-  in
-  Array.iter
-    (fun b ->
-      Array.iter note_inst b.insts;
-      iter_term_uses note b.term)
-    f.blocks;
-  let size, slot =
-    if !lo >= 0 && !hi < 2 * !mentions then (!hi + 1, Fun.id)
-    else
-      let slots = Hashtbl.create 64 in
-      ( !mentions,
-        fun r ->
-          match Hashtbl.find_opt slots r with
-          | Some s -> s
-          | None ->
-            let s = Hashtbl.length slots in
-            Hashtbl.add slots r s;
-            s )
-  in
   let cur = ref 0 in
   (* Two forward scans fill one list per slot with tagged block labels,
      newest first, each block at most once per tag: [2l] when block [l]
@@ -362,117 +439,215 @@ let eliminate_dead f =
   (* The walks, one per slot that is both read first and written.
      [live_out.(l)] collects the slots written in [l] that are live on
      exit from it (a repeat would be at the head); [writer.(l)] and
-     [reached.(l)] are the slot whose walk last marked [l] as writing
-     it and as live into it. *)
+     [reached.(l)] are the stamp of the walk that last marked [l] as
+     writing the slot and as live into it.  A slot's first walk is
+     stamped with the slot itself, a later one with a number past every
+     slot. *)
   let live_out = Array.make n [] in
   let writer = Array.make n (-1) and reached = Array.make n (-1) in
   let stack = Array.make n 0 and top = ref 0 in
+  let walk = ref 0 and walked = ref 0 in
   let push l =
-    reached.(l) <- !cur;
+    reached.(l) <- !walk;
     stack.(!top) <- l;
     incr top
   in
-  let start e = if e land 1 = 1 then writer.(e / 2) <- !cur else push (e / 2) in
+  let start e = if e land 1 = 1 then writer.(e / 2) <- !walk else push (e / 2) in
   let visit p =
-    let s = !cur in
-    if writer.(p) = s then begin
+    if writer.(p) = !walk then begin
+      let s = !walked in
       match live_out.(p) with
       | s' :: _ when s' = s -> ()
       | ss -> live_out.(p) <- s :: ss
     end
-    else if reached.(p) <> s then push p
+    else if reached.(p) <> !walk then push p
+  in
+  let solve stamp s =
+    walk := stamp;
+    walked := s;
+    List.iter start events.(s);
+    while !top > 0 do
+      decr top;
+      List.iter visit preds.(stack.(!top))
+    done
   in
   Array.iteri
     (fun s es ->
       match es with
-      | e :: _ when e land 1 = 1 ->
-        cur := s;
-        List.iter start es;
-        while !top > 0 do
-          decr top;
-          List.iter visit preds.(stack.(!top))
-        done
+      | e :: _ when e land 1 = 1 -> solve s s
       | _ -> ())
     events;
-  (* The removal sweep, backward through each block over [mark], now
-     stamped per block: while sweeping block [l], [mark.(s) = n + l]
-     means slot [s] is live at that point (the scans left only labels
-     below [n] there).  The blocks array is copied on the first
-     removal. *)
-  let gen r = mark.(slot r) <- n + !cur in
-  let gen_slot s = mark.(s) <- n + !cur in
+  (* The removal sweep, backward through one block over [mark], stamped
+     per sweep: while a sweep runs, [mark.(s) = !live] means slot [s] is
+     live at that point (the scans left only labels below [n] there, and
+     sweep stamps start at [n]).  The blocks array is copied on the
+     first removal.  With [fixpoint], [lost_in.(s)] lists the blocks
+     whose removals read slot [s], and [lost] the slots with such a
+     list. *)
+  let live = ref n and stamp = ref n in
+  let gen r = mark.(slot r) <- !live in
+  let gen_slot s = mark.(s) <- !live in
   let kill r = mark.(slot r) <- -1 in
+  let lost = ref [] and lost_in = if fixpoint then Array.make size [] else [||] in
+  let lose r =
+    let s = slot r and l = !cur in
+    match lost_in.(s) with
+    | [] ->
+      lost := s :: !lost;
+      lost_in.(s) <- [ l ]
+    | l' :: _ when l' = l -> ()
+    | ls -> lost_in.(s) <- l :: ls
+  in
   let removed = ref 0 and blocks = ref f.blocks in
-  Array.iteri
-    (fun l b ->
-      cur := l;
-      List.iter gen_slot live_out.(l);
-      iter_term_uses gen b.term;
-      let dead = ref [] in
-      for i = Array.length b.insts - 1 downto 0 do
-        match b.insts.(i) with
-        | Assign (d, _) when mark.(slot d) <> n + l ->
-          (* pure computation whose result is never read: drop it
-             (loads are treated as speculatable, as in LLVM) *)
-          dead := i :: !dead
-        | inst ->
-          iter_inst_def kill inst;
-          iter_inst_uses gen inst
+  let sweep l =
+    let b = !blocks.(l) in
+    cur := l;
+    live := !stamp;
+    incr stamp;
+    List.iter gen_slot live_out.(l);
+    iter_term_uses gen b.term;
+    let dead = ref [] in
+    for i = Array.length b.insts - 1 downto 0 do
+      match b.insts.(i) with
+      | Assign (d, _) when mark.(slot d) <> !live ->
+        (* pure computation whose result is never read: drop it
+           (loads are treated as speculatable, as in LLVM) *)
+        dead := i :: !dead
+      | inst ->
+        iter_inst_def kill inst;
+        iter_inst_uses gen inst
+    done;
+    match !dead with
+    | [] -> ()
+    | dead ->
+      let len = Array.length b.insts and ndead = List.length dead in
+      removed := !removed + ndead;
+      let kept = Array.make (len - ndead) b.insts.(0) in
+      let next = ref 0 and dead = ref dead in
+      for i = 0 to len - 1 do
+        match !dead with
+        | d :: rest when d = i ->
+          dead := rest;
+          if fixpoint then iter_inst_uses lose b.insts.(i)
+        | _ ->
+          kept.(!next) <- b.insts.(i);
+          incr next
       done;
-      match !dead with
-      | [] -> ()
-      | dead ->
-        let len = Array.length b.insts and ndead = List.length dead in
-        removed := !removed + ndead;
-        let kept = Array.make (len - ndead) b.insts.(0) in
-        let next = ref 0 and dead = ref dead in
-        for i = 0 to len - 1 do
-          match !dead with
-          | d :: rest when d = i -> dead := rest
-          | _ ->
-            kept.(!next) <- b.insts.(i);
-            incr next
-        done;
-        if !blocks == f.blocks then blocks := Array.copy f.blocks;
-        !blocks.(l) <- { b with insts = kept })
-    f.blocks;
+      if !blocks == f.blocks then blocks := Array.copy f.blocks;
+      !blocks.(l) <- { b with insts = kept }
+  in
+  for l = 0 to n - 1 do
+    sweep l
+  done;
+  if fixpoint then begin
+    (* Does block [l] still read slot [!probed] before writing it? *)
+    let probed = ref 0 and hit = ref false in
+    let probe r = if slot r = !probed then hit := true in
+    let reads_first s l =
+      let b = !blocks.(l) in
+      probed := s;
+      hit := false;
+      let i = ref 0 and written = ref false in
+      while (not !hit) && (not !written) && !i < Array.length b.insts do
+        let inst = b.insts.(!i) in
+        iter_inst_uses probe inst;
+        if not !hit then begin
+          iter_inst_def probe inst;
+          if !hit then begin
+            hit := false;
+            written := true
+          end
+        end;
+        incr i
+      done;
+      if not (!hit || !written) then iter_term_uses probe b.term;
+      !hit
+    in
+    let walks = ref size and batch = ref 0 in
+    let queued = Array.make n (-1) and todo = ref [] in
+    let requeue s e =
+      if e land 1 = 1 then
+        match live_out.(e / 2) with
+        | s' :: _ when s' = s -> ()
+        | _ ->
+          let w = e / 2 in
+          if queued.(w) <> !batch then begin
+            queued.(w) <- !batch;
+            todo := w :: !todo
+          end
+    in
+    let resolve s =
+      let gone = List.filter (fun l -> not (reads_first s l)) lost_in.(s) in
+      lost_in.(s) <- [];
+      let es = events.(s) in
+      let es' = List.filter (fun e -> e land 1 = 1 || not (List.mem (e / 2) gone)) es in
+      if List.compare_lengths es' es <> 0 then begin
+        events.(s) <- es';
+        (* the writers [s] was live out of stop there only if the new
+           walk reaches them again *)
+        let was =
+          List.filter (fun e -> e land 1 = 1 && List.mem s live_out.(e / 2)) es'
+        in
+        if was <> [] then begin
+          List.iter
+            (fun e -> live_out.(e / 2) <- List.filter (fun s' -> s' <> s) live_out.(e / 2))
+            was;
+          solve !walks s;
+          incr walks;
+          List.iter (requeue s) was
+        end
+      end
+    in
+    while !lost <> [] do
+      let slots = !lost in
+      lost := [];
+      incr batch;
+      List.iter resolve slots;
+      let sweeps = !todo in
+      todo := [];
+      List.iter sweep sweeps
+    done
+  end;
   if !removed = 0 then (f, 0) else ({ f with blocks = !blocks }, !removed)
+
+let eliminate_dead f = dead_core ~fixpoint:false (slots f) f
+let eliminate_dead_fixpoint f = dead_core ~fixpoint:true (slots f) f
 
 (* ------------------------------------------------------------------ *)
 
-let run_once f =
-  let folded = ref 0 and branches = ref 0 in
-  let blocks =
-    array_shared
-      (Array.map
-         (fun b ->
-           let b', fo, br = propagate_block b in
-           folded := !folded + fo;
-           branches := !branches + br;
-           b')
-         f.blocks)
-      f.blocks
-  in
-  let f = if blocks == f.blocks then f else { f with blocks } in
-  let f, removed_blocks = thread_and_compact f in
-  let f, dead = eliminate_dead f in
-  ( f,
-    {
-      folded = !folded;
-      branches_folded = !branches;
-      blocks_removed = removed_blocks;
-      dead_assigns_removed = dead;
-    } )
-
+(* Each round propagates, threads, then removes dead assignments to
+   their fixpoint.  Only a round's removals can give propagation more to
+   do (a removed write of [d] no longer retires the copies of [d]), so
+   the next round propagates only the blocks they rewrote.  The loop
+   ends after a round whose removal found nothing, or a later round
+   whose propagation changed nothing: threading is idempotent and
+   leaves liveness alone, so neither needs another pass.  Every round
+   that goes on removed an assignment, so the loop ends without a
+   cap. *)
 let run_func_with_stats f =
-  let rec go f acc iters =
-    if iters = 0 then (f, acc)
-    else
-      let f', s = run_once f in
-      let acc = add_stats acc s in
-      if f' == f || f' = f then (f', acc) else go f' acc (iters - 1)
+  let slots = slots f in
+  let env = env_of slots in
+  let rec round prev f blocks_removed dead_removed =
+    let g = propagate env ~prev f in
+    let h, removed = thread_and_compact g in
+    let blocks_removed = blocks_removed + removed in
+    let finish f dead_removed =
+      ( f,
+        {
+          folded = env.folded;
+          branches_folded = env.branches;
+          blocks_removed;
+          dead_assigns_removed = dead_removed;
+        } )
+    in
+    match prev with
+    | Some _ when g == f -> finish h dead_removed
+    | _ ->
+      let i, dead = dead_core ~fixpoint:true slots h in
+      if dead = 0 then finish i dead_removed
+      else round (Some h.blocks) i blocks_removed (dead_removed + dead)
   in
-  go f zero_stats 8
+  round None f 0 0
 
 let run_func f = fst (run_func_with_stats f)
 
